@@ -264,6 +264,10 @@ class Isomorphism:
     def valid_between(self, a: ColoredGraph, b: ColoredGraph) -> bool:
         if a.dimension != b.dimension or a.vertex_count != b.vertex_count:
             return False
+        if sorted(self.vertex_map) != list(range(a.vertex_count)):
+            return False
+        if sorted(self.color_map) != list(a.colors):
+            return False
         for c, m in enumerate(a.matchings):
             bm = b.matchings[self.color_map[c]]
             for v, w in enumerate(m):
@@ -281,28 +285,55 @@ def _check_mode(mode: str) -> None:
 
 
 def _bfs_labeling(
-    mats: tuple[tuple[int, ...], ...], start: int, sigma: tuple[int, ...]
-) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """Deterministic labeling from a seed vertex and a color slot order.
+    slots: Sequence[Sequence[int]],
+    start: int,
+    bound: Optional[Sequence[int]] = None,
+    exact: bool = False,
+) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """Deterministic labeling from a seed vertex, cut short against a bound.
 
-    BFS visits neighbors in the slot order ``sigma`` (slot j follows edges
-    of color sigma[j]) and labels vertices by discovery.  The encoding row
-    for label x lists, per slot, the label of x's neighbor; the flattened
-    tuple determines the graph up to this labeling.  Only meaningful on
-    connected graphs.
+    ``slots[j]`` is the matching followed in slot j.  BFS visits neighbors
+    in slot order and labels vertices by discovery; the encoding row for
+    label x lists, per slot, the label of x's neighbor.  Row x is final
+    once vertex x is expanded, so the encoding is compared with ``bound``
+    entry by entry while it is built.
+
+    Without a bound the labeling runs to the end.  With one it returns
+    None at the first entry above the bound's (or different from it, when
+    ``exact``), and also when it ends equal to the bound without
+    ``exact``.  Returns (encoding, vertex -> label with -1 off the start's
+    component, label -> vertex).
     """
-    n = len(mats[0])
-    label = [-1] * n
-    order = [start]
+    label = [-1] * len(slots[0])
     label[start] = 0
+    order = [start]
+    enc: list[int] = []
+    tight = bound is not None  # every entry so far equals the bound's
     for v in order:
-        for c in sigma:
-            w = mats[c][v]
-            if label[w] < 0:
-                label[w] = len(order)
+        for m in slots:
+            w = m[v]
+            x = label[w]
+            if x < 0:
+                x = label[w] = len(order)
                 order.append(w)
-    enc = tuple(label[mats[c][v]] for v in order for c in sigma)
+            if tight and x != bound[len(enc)]:
+                if exact or x > bound[len(enc)]:
+                    return None
+                tight = False
+            enc.append(x)
+    # An exact match cannot stop short: if this component had fewer rows,
+    # the bound's first rows would close up into a component just as small.
+    if tight and not exact:
+        return None
     return enc, label, order
+
+
+def _slot_orders(k: int, mode: str) -> Iterable[tuple[int, ...]]:
+    """Color slot orders of ``mode`` in lexicographic order."""
+    _check_mode(mode)
+    if mode == "color-fixed":
+        return (tuple(range(k)),)
+    return itertools.permutations(range(k))
 
 
 def canonical_labeling(
@@ -310,26 +341,27 @@ def canonical_labeling(
 ) -> tuple[tuple[int, ...], list[int], tuple[int, ...]]:
     """Minimal encoding over BFS labelings, with the labeling achieving it.
 
-    Returns (encoding, vertex -> label array, slot order sigma).  Two
-    connected graphs are isomorphic in the given mode exactly when their
-    minimal encodings coincide.
+    Every (slot order, start vertex) pair is tried, slot orders in
+    lexicographic order and starts ascending; the first pair reaching the
+    minimal encoding wins.  Each labeling is compared with the best so far
+    while it is built and dropped at the first entry that exceeds it
+    (prefix pruning), so most labelings stop after a row or two.  Returns
+    (encoding, vertex -> label array, slot order sigma).  Two connected
+    graphs are isomorphic in the given mode exactly when their minimal
+    encodings coincide.
     """
-    _check_mode(mode)
+    sigmas = _slot_orders(len(g.matchings), mode)
     if not g.is_connected():
         raise NotConnectedError("canonical form is defined for connected graphs")
-    k = len(g.matchings)
-    if mode == "color-fixed":
-        sigmas: Iterable[tuple[int, ...]] = (tuple(range(k)),)
-    else:
-        sigmas = itertools.permutations(range(k))
-    best = None
+    best: Optional[tuple[list[int], list[int], tuple[int, ...]]] = None
     for sigma in sigmas:
+        slots = [g.matchings[c] for c in sigma]
         for start in range(g.vertex_count):
-            enc, label, _ = _bfs_labeling(g.matchings, start, sigma)
-            if best is None or enc < best[0]:
-                best = (enc, label, sigma)
+            found = _bfs_labeling(slots, start, None if best is None else best[0])
+            if found is not None:
+                best = (found[0], found[1], sigma)
     assert best is not None
-    return best
+    return tuple(best[0]), best[1], best[2]
 
 
 def canonical_form(g: ColoredGraph, mode: str = "color-fixed") -> bytes:
@@ -356,37 +388,33 @@ def _invariant_fingerprint(g: ColoredGraph, mode: str) -> tuple:
     return (g.dimension, g.vertex_count, is_bipartite(g), pair_counts)
 
 
-def _isomorphic_connected_fixed(
-    a: ColoredGraph, b: ColoredGraph
-) -> Optional[tuple[list[int], list[int]]]:
-    enc_a, lab_a, _ = canonical_labeling(a, "color-fixed")
-    enc_b, lab_b, _ = canonical_labeling(b, "color-fixed")
-    if enc_a != enc_b:
-        return None
-    return lab_a, lab_b
-
-
 def isomorphic(
     a: ColoredGraph, b: ColoredGraph, mode: str = "color-fixed"
 ) -> Optional[Isomorphism]:
     """Search for an isomorphism witness; None when there is none.
 
-    In color-permuting mode every color bijection is tried on top of the
-    color-fixed search.  The result does not depend on how the inputs were
-    labeled.  Disconnected graphs are matched component by component.
+    ``a`` is BFS-labeled once per component, from its least vertex with
+    the identity slot order.  Color maps are then tried in lexicographic
+    order (only the identity in color-fixed mode): for each, ``b`` is
+    BFS-labeled with the mapped slot order from each candidate start, and
+    a labeling is dropped at the first entry that differs from ``a``'s
+    encoding.  The returned ``color_map`` is therefore the
+    lexicographically first one admitting an isomorphism, whatever the
+    vertex labels; ``vertex_map`` is one valid witness for it, not a
+    canonical choice.  Disconnected graphs are matched component by
+    component.
     """
-    _check_mode(mode)
+    cmaps = _slot_orders(len(a.matchings), mode)
     if a.dimension != b.dimension or a.vertex_count != b.vertex_count:
         return None
     if _invariant_fingerprint(a, mode) != _invariant_fingerprint(b, mode):
         return None
-    k = len(a.matchings)
-    if mode == "color-fixed":
-        cmaps: Iterable[tuple[int, ...]] = (tuple(range(k)),)
-    else:
-        cmaps = itertools.permutations(range(k))
+    parts_a = [
+        _bfs_labeling(a.matchings, comp[0])
+        for comp in residue_components(a, a.colors).components
+    ]
     for cmap in cmaps:
-        vmap = _vertex_map_fixed(a.recolor(cmap), b)
+        vmap = _vertex_map(parts_a, [b.matchings[c] for c in cmap])
         if vmap is not None:
             iso = Isomorphism(tuple(vmap), tuple(cmap))
             assert iso.valid_between(a, b)
@@ -394,37 +422,28 @@ def isomorphic(
     return None
 
 
-def _vertex_map_fixed(a: ColoredGraph, b: ColoredGraph) -> Optional[list[int]]:
-    """Color-fixed vertex bijection a -> b, or None; handles disconnected."""
-    if a.is_connected() and b.is_connected():
-        pair = _isomorphic_connected_fixed(a, b)
-        if pair is None:
-            return None
-        lab_a, lab_b = pair
-        pos_b = [0] * b.vertex_count
-        for v, lbl in enumerate(lab_b):
-            pos_b[lbl] = v
-        return [pos_b[lab_a[v]] for v in range(a.vertex_count)]
+def _vertex_map(
+    parts_a: list[tuple[list[int], list[int], list[int]]],
+    slots_b: list[tuple[int, ...]],
+) -> Optional[list[int]]:
+    """Vertex bijection matching each labeled component of ``a`` in ``b``.
 
-    comps_a = residue_graphs(a, a.colors)
-    comps_b = residue_graphs(b, b.colors)
-    if len(comps_a) != len(comps_b):
-        return None
-    keyed_b: dict[bytes, list[int]] = {}
-    for i, (gb, _) in enumerate(comps_b):
-        keyed_b.setdefault(canonical_form(gb, "color-fixed"), []).append(i)
-    vmap = [-1] * a.vertex_count
-    for ga, verts_a in comps_a:
-        key = canonical_form(ga, "color-fixed")
-        bucket = keyed_b.get(key)
-        if not bucket:
+    ``parts_a`` holds one BFS labeling per component of ``a``; a component
+    of ``b`` matches when its labeling from some start reproduces that
+    encoding exactly.  Isomorphism is an equivalence, so taking the first
+    unused match never blocks a later component.
+    """
+    vmap = [-1] * len(slots_b[0])
+    used = [False] * len(slots_b[0])
+    for enc_a, _, order_a in parts_a:
+        for s in range(len(used)):
+            if not used[s]:
+                found = _bfs_labeling(slots_b, s, enc_a, exact=True)
+                if found is not None:
+                    break
+        else:
             return None
-        gb, verts_b = comps_b[bucket.pop()]
-        _, lab_a, _ = canonical_labeling(ga, "color-fixed")
-        _, lab_b, _ = canonical_labeling(gb, "color-fixed")
-        pos_b = [0] * gb.vertex_count
-        for v, lbl in enumerate(lab_b):
-            pos_b[lbl] = v
-        for v in range(ga.vertex_count):
-            vmap[verts_a[v]] = verts_b[pos_b[lab_a[v]]]
+        for va, vb in zip(order_a, found[2]):
+            vmap[va] = vb
+            used[vb] = True
     return vmap

@@ -11,6 +11,7 @@ immutable, so concurrent generation is safe.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -169,7 +170,7 @@ def lens_gem(p: int, q: int, k: int) -> ColoredGraph:
         # With more than two double cycles the last-color residue splits;
         # with exactly two it stays connected only for coprime shift data
         # (a zero shift behaves like gcd(p, 0) = p).
-        contracted_expected = k == 2 and (_gcd(p, q) == 1 if q > 0 else p == 1)
+        contracted_expected = k == 2 and (math.gcd(p, q) == 1 if q > 0 else p == 1)
         _expect(
             is_contracted(g) == contracted_expected,
             fam,
@@ -177,9 +178,9 @@ def lens_gem(p: int, q: int, k: int) -> ColoredGraph:
         )
         if q == 0:
             _expect_h1(g, fam, 0, ())
-        elif _gcd(p, q) == 1:
+        elif math.gcd(p, q) == 1:
             _expect_h1(g, fam, 0, (p,) if p > 1 else ())
-        if q == 0 or _gcd(p, q) == 1:
+        if q == 0 or math.gcd(p, q) == 1:
             _expect(
                 manifold_check(g).kind == CERTIFIED_3_MANIFOLD,
                 fam,
@@ -188,12 +189,6 @@ def lens_gem(p: int, q: int, k: int) -> ColoredGraph:
         return g
 
     return _cached(("lens", p, q, k), build)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -294,8 +289,9 @@ def _surface_sum_matching(n_vertices: int, want_bipartite: bool) -> list[int]:
         limit=1,
     )
     if not hits:
+        kind = "bipartite" if want_bipartite else "non-bipartite"
         raise FamilyValidationError(
-            f"no {want}-bipartite Hamiltonian matching exists on {n_vertices} vertices"
+            f"no {kind} Hamiltonian matching exists on {n_vertices} vertices"
         )
     return list(hits[0].matchings[2])
 

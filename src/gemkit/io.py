@@ -35,13 +35,16 @@ def from_json_dict(data: object) -> ColoredGraph:
         matchings = data["matchings"]
     except KeyError as exc:
         raise ValueError(f"gem JSON is missing key {exc.args[0]!r}") from None
-    if not isinstance(d, int) or not isinstance(n, int):
+    # Exact ints only: JSON true/false load as bool, an int subclass.
+    if type(d) is not int or type(n) is not int:
         raise ValueError("dimension and vertices must be integers")
     if not isinstance(matchings, list) or len(matchings) != d + 1:
         raise ValueError(f"expected {d + 1} matchings")
     for m in matchings:
         if not isinstance(m, list) or len(m) != n:
             raise ValueError(f"each matching must list {n} vertices")
+        if any(type(w) is not int for w in m):
+            raise ValueError("matching entries must be integers")
     return ColoredGraph(matchings)
 
 

@@ -31,6 +31,7 @@ from .core import (
 )
 from .embedding import (
     CyclicPermutation,
+    _canonical_cyclic,
     condensed_str,
     euler_characteristic,
     face_cycle_type,
@@ -81,15 +82,6 @@ class TypeSolution:
             "order": self.order,
             "chi": self.chi,
         }
-
-
-def _cyclic_canonical(t: tuple) -> tuple:
-    k = len(t)
-    rev = tuple(reversed(t))
-    return min(
-        min(t[i:] + t[:i] for i in range(k)),
-        min(rev[i:] + rev[:i] for i in range(k)),
-    )
 
 
 def _runs_of(t: tuple) -> tuple[tuple[object, int], ...]:
@@ -157,7 +149,7 @@ def _is_square_family_instance(combo: tuple[int, ...]) -> bool:
 
 def _cyclic_arrangements(combo: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Distinct cyclic words (up to rotation and reflection) of a multiset."""
-    return sorted({_cyclic_canonical(p) for p in itertools.permutations(combo)})
+    return sorted({_canonical_cyclic(p) for p in itertools.permutations(combo)})
 
 
 def _solution_sort_key(s: TypeSolution):
@@ -227,23 +219,37 @@ class SearchSpec:
             object.__setattr__(self, "pair_lengths", tuple(norm))
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SearchSpec":
+    def from_json_dict(cls, data: object) -> "SearchSpec":
+        """Build a spec from its JSON object; ValueError on malformed input."""
+        if not isinstance(data, Mapping):
+            raise ValueError("search spec must be a JSON object")
+        for key in ("colors", "order"):
+            if key not in data:
+                raise ValueError(f"search spec is missing key {key!r}")
         pl = data.get("pair_lengths")
         pair_lengths = None
         if pl is not None:
+            if not isinstance(pl, Mapping):
+                raise ValueError('pair_lengths must map color pairs such as "01" to lengths')
+            for key in pl:
+                if not (isinstance(key, str) and len(key) == 2 and key.isdigit()):
+                    raise ValueError(f"bad color pair {key!r}, expected two digits")
             pair_lengths = tuple(
-                ((int(key[0]), int(key[1])), tuple(val)) for key, val in pl.items()
+                ((int(key[0]), int(key[1])), _json_ints(val, "pair_lengths"))
+                for key, val in pl.items()
             )
+        vertex_types = data.get("vertex_types")
+        chi = data.get("chi")
         return cls(
-            colors=data["colors"],
-            order=data["order"],
+            colors=_json_int(data["colors"], "colors"),
+            order=_json_int(data["order"], "order"),
             pair_lengths=pair_lengths,
-            vertex_types=tuple(data["vertex_types"])
-            if data.get("vertex_types")
+            vertex_types=_json_ints(vertex_types, "vertex_types")
+            if vertex_types
             else None,
             bipartite=data.get("bipartite", "any"),
             bigons=data.get("bigons", "exclude"),
-            chi=data.get("chi"),
+            chi=None if chi is None else _json_int(chi, "chi"),
         )
 
     def to_json_dict(self) -> dict:
@@ -260,6 +266,19 @@ class SearchSpec:
             "bigons": self.bigons,
             "chi": self.chi,
         }
+
+
+def _json_int(value: object, what: str) -> int:
+    # JSON true/false load as bool, an int subclass; refuse them too.
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(values: object, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(_json_int(x, what) for x in values)
 
 
 def _consecutive_pairs(colors: int) -> tuple[tuple[int, int], ...]:

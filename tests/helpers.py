@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from gemkit.core import ColoredGraph
@@ -117,3 +118,31 @@ def all_perfect_matchings(n: int) -> list[list[int]]:
 
     extend([-1] * n)
     return out
+
+
+def oracle_canonical_labeling(g: ColoredGraph, mode: str):
+    """Unpruned reference: complete every BFS labeling, keep the first least.
+
+    Slot orders are tried lexicographically and start vertices ascending,
+    and a later encoding replaces the best only when strictly smaller.
+    Returns (encoding, vertex -> label array, slot order).
+    """
+    k = len(g.matchings)
+    sigmas = [tuple(range(k))] if mode == "color-fixed" else list(itertools.permutations(range(k)))
+    best = None
+    for sigma in sigmas:
+        for start in range(g.vertex_count):
+            label = {start: 0}
+            order = [start]
+            i = 0
+            while i < len(order):
+                for c in sigma:
+                    w = g.matchings[c][order[i]]
+                    if w not in label:
+                        label[w] = len(order)
+                        order.append(w)
+                i += 1
+            enc = tuple(label[g.matchings[c][v]] for v in order for c in sigma)
+            if best is None or enc < best[0]:
+                best = (enc, [label[v] for v in range(g.vertex_count)], sigma)
+    return best

@@ -219,3 +219,33 @@ def test_bad_gem_file(capsys, monkeypatch, tmp_path):
     assert "error" in err
     code, _, err = run(capsys, monkeypatch, ["homology", str(tmp_path / "missing.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "gem, needle",
+    [
+        ({"dimension": 1, "vertices": 2, "matchings": [[1, 0], [1.0, 0]]}, "integers"),
+        ({"dimension": True, "vertices": 2, "matchings": [[1, 0], [1, 0]]}, "integers"),
+    ],
+)
+def test_analyze_rejects_non_integer_gem_fields(capsys, monkeypatch, gem, needle):
+    code, out, err = run(capsys, monkeypatch, ["analyze"], stdin=json.dumps(gem))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize(
+    "spec, needle",
+    [
+        ({"colors": 3}, "missing key 'order'"),
+        ([{"colors": 3, "order": 12}], "JSON object"),
+    ],
+)
+def test_search_rejects_malformed_spec(capsys, monkeypatch, tmp_path, spec, needle):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, monkeypatch, ["search", "--spec", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and needle in err

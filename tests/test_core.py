@@ -5,8 +5,10 @@ import pytest
 
 from gemkit.core import (
     ColoredGraph,
+    Isomorphism,
     NotConnectedError,
     canonical_form,
+    canonical_labeling,
     is_bipartite,
     is_contracted,
     isomorphic,
@@ -15,11 +17,18 @@ from gemkit.core import (
     residue_graphs,
 )
 from gemkit.complexes import homology
-from gemkit.generators import lens_gem, rp2_sum_gem, standard_sphere
+from gemkit.generators import (
+    lens_gem,
+    rp2_sum_gem,
+    sphere_times_circle_gem,
+    standard_sphere,
+)
 
 from helpers import (
+    oracle_canonical_labeling,
     oracle_component_count,
     oracle_components,
+    random_matching,
     random_permutation,
     random_surface_gem,
 )
@@ -170,6 +179,11 @@ def test_isomorphism_of_disconnected_graphs():
     b = a.relabel(perm)
     wit = isomorphic(a, b, "color-fixed")
     assert wit is not None and wit.valid_between(a, b)
+    assert sorted(wit.vertex_map) == [0, 1, 2, 3]
+    # Folding both components onto one preserves every edge but is no
+    # bijection, so it is not a witness.
+    assert not Isomorphism((0, 1, 0, 1), (0, 1, 2)).valid_between(a, b)
+    assert not Isomorphism((2, 3, 0, 1), (0, 0, 0)).valid_between(a, b)
 
 
 def test_canonical_form_invariance():
@@ -192,6 +206,29 @@ def test_canonical_form_modes_are_consistent():
     g = random_surface_gem(rng, 8)
     h = g.recolor((1, 2, 0))
     assert canonical_form(g, "color-permuting") == canonical_form(h, "color-permuting")
+
+
+@pytest.mark.parametrize("mode", ["color-fixed", "color-permuting"])
+def test_canonical_labeling_matches_unpruned_reference(mode):
+    # Symmetric gems have many labelings tying for the minimum, so this
+    # also pins the tie-break: the first (slot order, start) pair wins.
+    local = random.Random(2207)
+    gems = [
+        standard_sphere(3),
+        lens_gem(2, 1, 2),
+        lens_gem(3, 1, 2),
+        rp2_sum_gem(3),
+        sphere_times_circle_gem(4),
+    ]
+    for d in (1, 2, 3, 4):
+        for n in (2, 6, 10):
+            while True:
+                g = ColoredGraph([random_matching(local, n) for _ in range(d + 1)])
+                if g.is_connected():
+                    break
+            gems += [g, g.relabel(random_permutation(local, n))]
+    for g in gems:
+        assert canonical_labeling(g, mode) == oracle_canonical_labeling(g, mode)
 
 
 def test_canonical_form_requires_connected():

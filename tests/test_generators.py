@@ -10,7 +10,9 @@ from gemkit.embedding import (
     semi_equivelar_type,
 )
 from gemkit.complexes import homology, manifold_check, sphere_profile
+from gemkit import generators, search
 from gemkit.generators import (
+    FamilyValidationError,
     catalog,
     catalog_manifest,
     catalog_names,
@@ -156,6 +158,13 @@ def test_surface_family_parameter_checks():
         rp2_sum_gem(0)
     with pytest.raises(ValueError):
         torus_sum_gem(0)
+
+
+@pytest.mark.parametrize("want_bipartite, kind", [(True, "bipartite"), (False, "non-bipartite")])
+def test_surface_sum_matching_reports_a_failed_search(monkeypatch, want_bipartite, kind):
+    monkeypatch.setattr(search, "_matching_dfs", lambda *args, **kwargs: ([], True))
+    with pytest.raises(FamilyValidationError, match=f"no {kind} Hamiltonian matching"):
+        generators._surface_sum_matching(10, want_bipartite)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
