@@ -154,7 +154,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_search(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = io.parse_json(fh.read())
     spec = search.SearchSpec.from_json_dict(data)
     report = search.search_report(spec, max_order=args.budget)
     if args.json:

@@ -7,7 +7,11 @@ component of the residue on the complementary colors); boundary maps carry
 signs from the position of the dropped label in ascending order.
 
 Homology is computed from the boundary matrices by Smith normal form over
-exact integers, which at these sizes needs no modular tricks.
+exact integers, which at these sizes needs no modular tricks: the boundary
+matrices are sparse and mostly have entries +-1, so every unit pivot is
+eliminated on sparse rows first and only the small remainder is reduced
+densely.  The manifold check certifies each residue component once per
+call, however many deletion orders reach it.
 """
 
 from __future__ import annotations
@@ -108,10 +112,63 @@ def euler_characteristic_complex(k: PseudoComplex) -> int:
 def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Pivots on the entry of least absolute value; plain Python integers keep
-    everything exact regardless of intermediate growth.
+    Unit pivots are eliminated sparsely first: columns are visited once in
+    order, and a column holding an entry of absolute value 1 takes the one
+    in the shortest row, clears the rest of the column with that row and
+    drops out together with it, contributing a factor 1.  Only the small
+    remainder goes through the dense Smith normal form.  Invariant factors
+    are unique, so the split changes nothing in the result.
     """
-    A = [list(r) for r in rows]
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise ValueError("rows must have equal length")
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    col_rows: list[set[int]] = [set() for _ in range(width)]
+    for i, r in enumerate(sparse):
+        for j in r:
+            col_rows[j].add(i)
+    units = 0
+    for j in range(width):
+        pivot = None
+        for i in col_rows[j]:
+            if sparse[i][j] in (1, -1) and (
+                pivot is None or len(sparse[i]) < len(sparse[pivot])
+            ):
+                pivot = i
+        if pivot is None:
+            continue
+        prow = sparse[pivot]
+        sign = prow[j]
+        for i in col_rows[j] - {pivot}:
+            r = sparse[i]
+            q = r[j] * sign
+            for k, v in prow.items():
+                nv = r.get(k, 0) - q * v
+                if nv:
+                    if k not in r:
+                        col_rows[k].add(i)
+                    r[k] = nv
+                else:
+                    del r[k]
+                    col_rows[k].discard(i)
+        # Column j is now zero outside the pivot row, so column
+        # operations clear that row without touching any other.
+        for k in prow:
+            col_rows[k].discard(pivot)
+        sparse[pivot] = {}
+        units += 1
+    left = [r for r in sparse if r]
+    cols = sorted({j for r in left for j in r})
+    rest = [[r.get(j, 0) for j in cols] for r in left]
+    return [1] * units + _dense_snf(rest)
+
+
+def _dense_snf(A: list[list[int]]) -> list[int]:
+    """Invariant factors by dense pivoting on the least absolute value.
+
+    Works in place on ``A``; plain Python integers keep everything exact
+    regardless of intermediate growth.
+    """
     R = len(A)
     C = len(A[0]) if R else 0
     factors: list[int] = []
@@ -277,41 +334,56 @@ class ManifoldVerdict:
 def manifold_check(g: ColoredGraph) -> ManifoldVerdict:
     if not g.is_connected():
         raise NotConnectedError("manifold certification needs a connected graph")
-    d = g.dimension
-    if d < 2:
+    if g.dimension < 2:
         raise ValueError("manifold certification is defined for dimension >= 2")
+    return _manifold_check(g, {})
+
+
+def _manifold_check(
+    g: ColoredGraph, memo: dict[ColoredGraph, Optional[str]]
+) -> ManifoldVerdict:
+    """Certify a connected graph of dimension >= 2 by its residues.
+
+    One residue component is reached along every order of deleting its
+    missing colors, and ``residue_graphs`` renumbers it to the same graph
+    each time, so ``memo`` (shared by one top-level call) records each
+    residue's failure detail, or None if it passed, the first time it is
+    visited.  Residues are still visited in the same order, so the first
+    failure reported is unchanged.
+    """
+    d = g.dimension
     if d == 2:
         return ManifoldVerdict(CERTIFIED_SURFACE)
     all_colors = set(g.colors)
     for c in g.colors:
         pieces = residue_graphs(g, all_colors - {c})
         for piece_no, (piece, _) in enumerate(pieces):
-            if d == 3:
-                chi = euler_characteristic(
-                    piece, CyclicPermutation((0, 1, 2))
+            if piece not in memo:
+                memo[piece] = _residue_failure(piece, memo)
+            failure = memo[piece]
+            if failure is not None:
+                return ManifoldVerdict(
+                    FAILED, f"residue without color {c}, component {piece_no}: {failure}"
                 )
-                if chi != 2:
-                    return ManifoldVerdict(
-                        FAILED,
-                        f"residue without color {c}, component {piece_no}: "
-                        f"surface has chi {chi}, expected 2",
-                    )
-            else:
-                sub = manifold_check(piece)
-                if not sub.ok:
-                    return ManifoldVerdict(
-                        FAILED,
-                        f"residue without color {c}, component {piece_no}: {sub.detail}",
-                    )
-                if homology(piece) != sphere_profile(d - 1):
-                    return ManifoldVerdict(
-                        FAILED,
-                        f"residue without color {c}, component {piece_no}: "
-                        f"homology differs from the {d - 1}-sphere",
-                    )
     if d == 3:
         return ManifoldVerdict(CERTIFIED_3_MANIFOLD)
     return ManifoldVerdict(HOMOLOGY_CERTIFIED)
+
+
+def _residue_failure(
+    piece: ColoredGraph, memo: dict[ColoredGraph, Optional[str]]
+) -> Optional[str]:
+    """Why a residue component of a gem fails to be a sphere, or None."""
+    m = piece.dimension
+    if m == 2:
+        chi = euler_characteristic(piece, CyclicPermutation((0, 1, 2)))
+        return None if chi == 2 else f"surface has chi {chi}, expected 2"
+    sub = _manifold_check(piece, memo)
+    if not sub.ok:
+        return sub.detail
+    if homology(piece) != sphere_profile(m):
+        return f"homology differs from the {m}-sphere"
+    return None
 
 
 def consistency_surface(g: ColoredGraph) -> bool:

@@ -48,12 +48,18 @@ def from_json_dict(data: object) -> ColoredGraph:
     return ColoredGraph(matchings)
 
 
-def from_json(text: str) -> ColoredGraph:
+def parse_json(text: str) -> object:
+    """``json.loads`` that reports malformed or too deeply nested text as ValueError."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
-    return from_json_dict(data)
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
+
+
+def from_json(text: str) -> ColoredGraph:
+    return from_json_dict(parse_json(text))
 
 
 def to_text(g: ColoredGraph) -> str:
@@ -62,24 +68,39 @@ def to_text(g: ColoredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_QUOTE_LIMIT = 40
+
+
+def _quote(line: str) -> str:
+    """The line as quoted in an error message, cut to ``_QUOTE_LIMIT`` characters."""
+    if len(line) <= _QUOTE_LIMIT:
+        return repr(line)
+    return repr(line[:_QUOTE_LIMIT]) + "..."
+
+
+def _int_fields(line: str, kind: str, fields: str) -> list[int]:
+    """The integers of a header or edge line laid out as ``fields``."""
+    parts = line.split()
+    try:
+        if len(parts) == len(fields.split()):
+            return [int(x) for x in parts]
+    except ValueError:
+        pass
+    raise ValueError(f"bad {kind} line {_quote(line)}, expected {fields!r}")
+
+
 def from_text(text: str) -> ColoredGraph:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty gem file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header line {lines[0]!r}, expected 'd n'")
-    d, n = (int(x) for x in head)
+    d, n = _int_fields(lines[0], "header", "d n")
     matchings = [[-1] * n for _ in range(d + 1)]
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad edge line {ln!r}, expected 'u v c'")
-        u, v, c = (int(x) for x in parts)
+        u, v, c = _int_fields(ln, "edge", "u v c")
         if not (0 <= u < n and 0 <= v < n and 0 <= c <= d):
-            raise ValueError(f"edge line {ln!r} out of range")
+            raise ValueError(f"edge line {_quote(ln)} out of range")
         if matchings[c][u] != -1 or matchings[c][v] != -1:
-            raise ValueError(f"vertex revisited by color {c} in line {ln!r}")
+            raise ValueError(f"vertex revisited by color {c} in line {_quote(ln)}")
         matchings[c][u] = v
         matchings[c][v] = u
     for c, m in enumerate(matchings):

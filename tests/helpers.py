@@ -146,3 +146,68 @@ def oracle_canonical_labeling(g: ColoredGraph, mode: str):
             if best is None or enc < best[0]:
                 best = (enc, [label[v] for v in range(g.vertex_count)], sigma)
     return best
+
+
+def oracle_manifold_check(g: ColoredGraph):
+    """Unmemoized reference: recurse into every residue along every path.
+
+    The library's certification before residue verdicts were memoized,
+    kept verbatim apart from the name of the recursive call.
+    """
+    from gemkit.complexes import (
+        CERTIFIED_3_MANIFOLD,
+        CERTIFIED_SURFACE,
+        FAILED,
+        HOMOLOGY_CERTIFIED,
+        ManifoldVerdict,
+        homology,
+        sphere_profile,
+    )
+    from gemkit.core import NotConnectedError, residue_graphs
+    from gemkit.embedding import CyclicPermutation, euler_characteristic
+
+    if not g.is_connected():
+        raise NotConnectedError("manifold certification needs a connected graph")
+    d = g.dimension
+    if d < 2:
+        raise ValueError("manifold certification is defined for dimension >= 2")
+    if d == 2:
+        return ManifoldVerdict(CERTIFIED_SURFACE)
+    all_colors = set(g.colors)
+    for c in g.colors:
+        pieces = residue_graphs(g, all_colors - {c})
+        for piece_no, (piece, _) in enumerate(pieces):
+            if d == 3:
+                chi = euler_characteristic(
+                    piece, CyclicPermutation((0, 1, 2))
+                )
+                if chi != 2:
+                    return ManifoldVerdict(
+                        FAILED,
+                        f"residue without color {c}, component {piece_no}: "
+                        f"surface has chi {chi}, expected 2",
+                    )
+            else:
+                sub = oracle_manifold_check(piece)
+                if not sub.ok:
+                    return ManifoldVerdict(
+                        FAILED,
+                        f"residue without color {c}, component {piece_no}: {sub.detail}",
+                    )
+                if homology(piece) != sphere_profile(d - 1):
+                    return ManifoldVerdict(
+                        FAILED,
+                        f"residue without color {c}, component {piece_no}: "
+                        f"homology differs from the {d - 1}-sphere",
+                    )
+    if d == 3:
+        return ManifoldVerdict(CERTIFIED_3_MANIFOLD)
+    return ManifoldVerdict(HOMOLOGY_CERTIFIED)
+
+
+def doubled(g: ColoredGraph) -> ColoredGraph:
+    """Two copies of ``g`` joined by a new last color v <-> v + n."""
+    n = g.vertex_count
+    mats = [list(m) + [w + n for w in m] for m in g.matchings]
+    mats.append([v + n for v in range(n)] + list(range(n)))
+    return ColoredGraph(mats)

@@ -249,3 +249,24 @@ def test_search_rejects_malformed_spec(capsys, monkeypatch, tmp_path, spec, need
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and needle in err
+
+
+def test_homology_rejects_deeply_nested_json(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dimension": ' + "[" * 100_000)
+    code, out, err = run(capsys, monkeypatch, ["homology", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_search_rejects_deeply_nested_spec(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, monkeypatch, ["search", "--spec", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+

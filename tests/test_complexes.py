@@ -6,6 +6,7 @@ import pytest
 from gemkit.core import ColoredGraph, NotConnectedError, residue_count
 from gemkit.complexes import (
     CERTIFIED_3_MANIFOLD,
+    FAILED,
     CERTIFIED_SURFACE,
     HOMOLOGY_CERTIFIED,
     HomologyProfile,
@@ -27,7 +28,13 @@ from gemkit.generators import (
     torus_sum_gem,
 )
 
-from helpers import matrix_product, random_surface_gem
+from helpers import (
+    doubled,
+    matrix_product,
+    oracle_manifold_check,
+    random_permutation,
+    random_surface_gem,
+)
 
 rng = random.Random(4242)
 
@@ -142,6 +149,19 @@ def test_snf_hand_cases():
     assert smith_invariant_factors([[-3]]) == [3]
 
 
+def test_snf_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="rows must have equal length"):
+        smith_invariant_factors([[1, 0], [0]])
+    with pytest.raises(ValueError, match="rows must have equal length"):
+        smith_invariant_factors([[], [1]])
+
+
+def test_snf_dense_remainder_after_unit_pivots():
+    # The unit pivot leaves diag(2, 3) behind, whose factors are 1 and 6.
+    assert smith_invariant_factors([[1, 5, 7], [0, 2, 0], [0, 0, 3]]) == [1, 1, 6]
+    assert smith_invariant_factors([[2, 1], [4, 2], [6, 3]]) == [1]
+
+
 def test_snf_divisibility_chain_property():
     for _ in range(50):
         rows = rng.randrange(1, 5)
@@ -250,6 +270,29 @@ def test_manifold_check_rejects_torus_double():
 def test_manifold_check_higher_dimensions():
     assert manifold_check(sphere_times_circle_gem(4)).kind == HOMOLOGY_CERTIFIED
     assert manifold_check(standard_sphere(4)).kind == HOMOLOGY_CERTIFIED
+
+
+def test_manifold_check_matches_oracle_on_families():
+    gems = [sphere_times_circle_gem(d, t) for d in (3, 4, 5) for t in (False, True)]
+    for g in (lens_gem(3, 1, 2), lens_gem(5, 2, 2), torus_sum_gem(3), rp2_sum_gem(4)):
+        gems.append(g.relabel(random_permutation(rng, g.vertex_count)))
+    for g in gems:
+        got, want = manifold_check(g), oracle_manifold_check(g)
+        assert (got.kind, got.detail) == (want.kind, want.detail)
+        assert got.ok
+
+
+def test_manifold_check_failures_match_oracle():
+    g4 = doubled(lens_gem(3, 1, 2))
+    detail = "residue without color 4, component 0: homology differs from the 3-sphere"
+    g5 = doubled(g4)
+    for g, pinned in [(g4, detail), (g5, "residue without color 4, component 0: " + detail)]:
+        got, want = manifold_check(g), oracle_manifold_check(g)
+        assert (got.kind, got.detail) == (want.kind, want.detail) == (FAILED, pinned)
+
+
+def test_manifold_check_twisted_bundle_dimension_6():
+    assert manifold_check(sphere_times_circle_gem(6, twisted=True)).kind == HOMOLOGY_CERTIFIED
 
 
 def test_manifold_check_dimension_bounds():

@@ -65,6 +65,31 @@ def test_text_errors():
         io.from_text("1 2\n0 1 0\n0 9 1\n")  # vertex out of range
 
 
+def test_error_messages_quote_a_bounded_prefix():
+    cases = [
+        ("[" * 200_000, "bad header line"),
+        ("1 2\n" + "0 " * 100_000 + "1\n", "bad edge line"),
+        ("1 2\n0 1 " + "9" * 4000 + "\n", "out of range"),
+    ]
+    for text, needle in cases:
+        with pytest.raises(ValueError, match=needle) as exc:
+            io.from_text(text)
+        msg = str(exc.value)
+        assert len(msg) < 120, msg
+        assert "..." in msg
+    with pytest.raises(ValueError, match=r"bad header line '\[\[\[\[.*\.\.\., expected 'd n'"):
+        io.from_text("[" * 200_000)
+    with pytest.raises(ValueError, match="bad edge line '0 x 1', expected 'u v c'"):
+        io.from_text("1 2\n0 x 1\n")
+
+
+def test_json_nested_too_deeply():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        io.from_json("[" * 100_000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        io.parse_json('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
 def test_dot_export():
     g = standard_sphere(2)
     dot = io.to_dot(g)

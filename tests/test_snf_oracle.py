@@ -1,0 +1,71 @@
+"""Smith normal form against sympy's invariant factors."""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy import ZZ, Matrix  # noqa: E402
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+
+from gemkit.complexes import build_complex, smith_invariant_factors  # noqa: E402
+from gemkit.generators import (  # noqa: E402
+    lens_gem,
+    rp2_sum_gem,
+    sphere_times_circle_gem,
+)
+
+
+def sympy_factors(rows):
+    if not rows or not rows[0]:
+        return []
+    return [abs(int(x)) for x in invariant_factors(Matrix(rows), domain=ZZ) if x]
+
+
+def random_sparse_matrix(rng: random.Random):
+    """Mostly zero, units and larger entries mixed, some rows and columns empty."""
+    r, c = rng.randrange(1, 31), rng.randrange(1, 31)
+    density = rng.choice((0.05, 0.15, 0.3))
+    values = (1, -1, 1, -1, 2, -2, 3, -4, 6)
+    m = [
+        [rng.choice(values) if rng.random() < density else 0 for _ in range(c)]
+        for _ in range(r)
+    ]
+    for i in rng.sample(range(r), r // 5):
+        m[i] = [0] * c
+    for j in rng.sample(range(c), c // 5):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_snf_matches_sympy_on_random_sparse_matrices(seed):
+    rng = random.Random(9000 + seed)
+    for _ in range(40):
+        m = random_sparse_matrix(rng)
+        assert smith_invariant_factors(m) == sympy_factors(m), m
+
+
+def test_snf_matches_sympy_without_unit_entries():
+    rng = random.Random(77)
+    for _ in range(20):
+        r, c = rng.randrange(1, 9), rng.randrange(1, 9)
+        m = [[rng.choice((0, 0, 2, -2, 3, 4, -6)) for _ in range(c)] for _ in range(r)]
+        assert smith_invariant_factors(m) == sympy_factors(m), m
+
+
+@pytest.mark.parametrize(
+    "gem",
+    [
+        lens_gem(5, 2, 4),
+        lens_gem(7, 3, 4),
+        sphere_times_circle_gem(4, twisted=True),
+        sphere_times_circle_gem(5, twisted=True),
+        rp2_sum_gem(5),
+    ],
+    ids=["lens(5,2,4)", "lens(7,3,4)", "bundle4-twisted", "bundle5-twisted", "rp2-sum5"],
+)
+def test_snf_matches_sympy_on_boundary_matrices(gem):
+    for rows in build_complex(gem).boundaries:
+        assert smith_invariant_factors(rows) == sympy_factors(rows)
