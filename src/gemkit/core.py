@@ -227,6 +227,32 @@ def is_contracted(g: ColoredGraph) -> bool:
     return True
 
 
+def bicolored_cycle_lengths(ma: Sequence[int], mb: Sequence[int]) -> list[int]:
+    """Length of the cycle alternating matchings ``ma`` and ``mb``, per vertex.
+
+    The one bicolored-cycle walk: face lengths, vertex types and search
+    constraints all read it.  Each cycle is walked once, ``ma`` edge first,
+    and its length stored at every vertex on it.
+    """
+    lengths = [0] * len(ma)
+    for start in range(len(ma)):
+        if lengths[start]:
+            continue
+        cycle = [start]
+        v = ma[start]
+        while True:
+            cycle.append(v)
+            v = mb[v]
+            if v == start:
+                break
+            cycle.append(v)
+            v = ma[v]
+        f = len(cycle)
+        for v in cycle:
+            lengths[v] = f
+    return lengths
+
+
 def residue_graphs(
     g: ColoredGraph, colors: Iterable[int]
 ) -> list[tuple[ColoredGraph, tuple[int, ...]]]:
@@ -300,9 +326,10 @@ def _bfs_labeling(
 
     Without a bound the labeling runs to the end.  With one it returns
     None at the first entry above the bound's (or different from it, when
-    ``exact``), and also when it ends equal to the bound without
-    ``exact``.  Returns (encoding, vertex -> label with -1 off the start's
-    component, label -> vertex).
+    ``exact``); a labeling below the bound or tying it is completed and
+    returned, so the caller tells a tie from a win by comparing encodings.
+    Returns (encoding, vertex -> label with -1 off the start's component,
+    label -> vertex).
     """
     label = [-1] * len(slots[0])
     label[start] = 0
@@ -321,10 +348,9 @@ def _bfs_labeling(
                     return None
                 tight = False
             enc.append(x)
-    # An exact match cannot stop short: if this component had fewer rows,
-    # the bound's first rows would close up into a component just as small.
-    if tight and not exact:
-        return None
+    # A tie or exact match cannot stop short: if this component had fewer
+    # rows, the bound's first rows would close up into a component just as
+    # small.
     return enc, label, order
 
 
@@ -345,23 +371,49 @@ def canonical_labeling(
     lexicographic order and starts ascending; the first pair reaching the
     minimal encoding wins.  Each labeling is compared with the best so far
     while it is built and dropped at the first entry that exceeds it
-    (prefix pruning), so most labelings stop after a row or two.  Returns
-    (encoding, vertex -> label array, slot order sigma).  Two connected
-    graphs are isomorphic in the given mode exactly when their minimal
-    encodings coincide.
+    (prefix pruning), so most labelings stop after a row or two.
+
+    A labeling that ties the best one under the same slot order yields the
+    color-fixed automorphism best_order[i] -> order[i]; its orbits are
+    kept in a union-find whose roots are their least vertices.  A start in
+    the orbit of a lower start is skipped (McKay & Piperno, "Practical
+    graph isomorphism II", 2014): its labeling is that of the lower start
+    carried by an automorphism, so it would only tie or lose.  Color-fixed
+    automorphisms hold under every slot order, so the orbits carry over.
+    Returns (encoding, vertex -> label array, slot order sigma).  Two
+    connected graphs are isomorphic in the given mode exactly when their
+    minimal encodings coincide.
     """
     sigmas = _slot_orders(len(g.matchings), mode)
     if not g.is_connected():
         raise NotConnectedError("canonical form is defined for connected graphs")
-    best: Optional[tuple[list[int], list[int], tuple[int, ...]]] = None
+    orbit = list(range(g.vertex_count))
+    best: Optional[tuple[list[int], list[int], tuple[int, ...], list[int]]] = None
     for sigma in sigmas:
         slots = [g.matchings[c] for c in sigma]
         for start in range(g.vertex_count):
+            if orbit[start] != start:  # not the least vertex of its orbit
+                continue
             found = _bfs_labeling(slots, start, None if best is None else best[0])
-            if found is not None:
-                best = (found[0], found[1], sigma)
+            if found is None:
+                continue
+            enc, label, order = found
+            if best is None or enc != best[0]:
+                best = (enc, label, sigma, order)
+            elif best[2] == sigma:
+                for x, y in zip(best[3], order):
+                    rx, ry = _orbit_root(orbit, x), _orbit_root(orbit, y)
+                    orbit[max(rx, ry)] = min(rx, ry)
     assert best is not None
     return tuple(best[0]), best[1], best[2]
+
+
+def _orbit_root(parent: list[int], x: int) -> int:
+    """Union-find root of ``x``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def canonical_form(g: ColoredGraph, mode: str = "color-fixed") -> bytes:

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import ColoredGraph, NotConnectedError, component_index, is_bipartite
+from .core import (
+    ColoredGraph,
+    NotConnectedError,
+    bicolored_cycle_lengths,
+    component_index,
+    is_bipartite,
+)
 
 
 @dataclass(frozen=True)
@@ -205,29 +211,6 @@ def regular_genus(g: ColoredGraph) -> RegularGenus:
     return RegularGenus(best, tuple(winners), is_bipartite(g))
 
 
-def _cycle_lengths_for_pair(g: ColoredGraph, a: int, b: int) -> list[int]:
-    """Per-vertex length of the {a,b}-bicolored cycle through each vertex."""
-    n = g.vertex_count
-    ma, mb = g.matchings[a], g.matchings[b]
-    lengths = [0] * n
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        v = ma[start]
-        use_b = True
-        while v != start:
-            seen[v] = True
-            cycle.append(v)
-            v = mb[v] if use_b else ma[v]
-            use_b = not use_b
-        for v in cycle:
-            lengths[v] = len(cycle)
-    return lengths
-
-
 def face_cycle_type(
     g: ColoredGraph, eps: CyclicPermutation, vertex: int
 ) -> tuple[int, ...]:
@@ -238,18 +221,14 @@ def face_cycle_type(
     """
     if not 0 <= vertex < g.vertex_count:
         raise ValueError(f"vertex {vertex} out of range")
-    out = []
-    for a, b in eps.pairs():
-        ma, mb = g.matchings[a], g.matchings[b]
-        v = ma[vertex]
-        use_b = True
-        length = 1
-        while v != vertex:
-            v = mb[v] if use_b else ma[v]
-            use_b = not use_b
-            length += 1
-        out.append(length)
-    return tuple(out)
+    return tuple(col[vertex] for col in _face_lengths(g, eps))
+
+
+def _face_lengths(g: ColoredGraph, eps: CyclicPermutation) -> list[list[int]]:
+    """Per-vertex face lengths, one list per consecutive pair of ``eps``."""
+    return [
+        bicolored_cycle_lengths(g.matchings[a], g.matchings[b]) for a, b in eps.pairs()
+    ]
 
 
 def face_multisets_uniform(g: ColoredGraph, eps: CyclicPermutation) -> bool:
@@ -260,7 +239,7 @@ def face_multisets_uniform(g: ColoredGraph, eps: CyclicPermutation) -> bool:
     verdict; it only helps narrow down why a graph just missed it.
     """
     _require_gem_input(g, eps)
-    per_pair = [_cycle_lengths_for_pair(g, a, b) for a, b in eps.pairs()]
+    per_pair = _face_lengths(g, eps)
     first = sorted(col[0] for col in per_pair)
     return all(
         sorted(col[v] for col in per_pair) == first
@@ -280,7 +259,7 @@ def semi_equivelar_type(
     if bigons not in ("include", "exclude"):
         raise ValueError(f"bigons must be 'include' or 'exclude', got {bigons!r}")
     _require_gem_input(g, eps)
-    per_pair = [_cycle_lengths_for_pair(g, a, b) for a, b in eps.pairs()]
+    per_pair = _face_lengths(g, eps)
     first = _canonical_cyclic(tuple(col[0] for col in per_pair))
     if bigons == "exclude" and 2 in first:
         return None

@@ -94,11 +94,21 @@ def from_text(text: str) -> ColoredGraph:
     if not lines:
         raise ValueError("empty gem file")
     d, n = _int_fields(lines[0], "header", "d n")
-    matchings = [[-1] * n for _ in range(d + 1)]
+    if d < 1 or n < 2 or n % 2:
+        raise ValueError(f"bad header line {_quote(lines[0])}, need d >= 1 and even n >= 2")
+    edges = []
     for ln in lines[1:]:
         u, v, c = _int_fields(ln, "edge", "u v c")
         if not (0 <= u < n and 0 <= v < n and 0 <= c <= d):
             raise ValueError(f"edge line {_quote(ln)} out of range")
+        edges.append((u, v, c, ln))
+    # Checked before allocating (d+1) lists of n entries: the header alone
+    # must not be able to ask for more memory than the file's size implies.
+    expected = (d + 1) * n // 2
+    if len(edges) != expected:
+        raise ValueError(f"header {d} {n} needs {expected} edge lines, got {len(edges)}")
+    matchings = [[-1] * n for _ in range(d + 1)]
+    for u, v, c, ln in edges:
         if matchings[c][u] != -1 or matchings[c][v] != -1:
             raise ValueError(f"vertex revisited by color {c} in line {_quote(ln)}")
         matchings[c][u] = v

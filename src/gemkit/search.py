@@ -11,9 +11,14 @@ appears for positive Euler characteristic symbolically.
 The graph search fixes the first matching to (0 1)(2 3)... (sound up to
 relabeling), builds the remaining matchings depth first, and propagates
 bicolored-cycle-length constraints as paths merge, so most of the space is
-never visited.  Results are deduplicated by exact canonical forms under
-color permutation; an empty result therefore means a completed search,
-never a truncated one.
+never visited.  A ``vertex_types`` spec is propagated too: each cycle of a
+cyclically consecutive color pair adds its length to a count at every
+vertex on it when it closes, and a vertex holding more cycles of one length
+than the multiset allows cuts the branch.  Only branches whose leaves would
+all fail the leaf filter are cut, so the hits and their order are those of
+checking vertex types at the leaves alone.  Results are deduplicated by
+exact canonical forms under color permutation; an empty result therefore
+means a completed search, never a truncated one.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     ColoredGraph,
+    bicolored_cycle_lengths,
     canonical_form,
     is_bipartite,
     isomorphic,
@@ -32,6 +38,7 @@ from .core import (
 from .embedding import (
     CyclicPermutation,
     _canonical_cyclic,
+    _face_lengths,
     condensed_str,
     euler_characteristic,
     face_cycle_type,
@@ -309,24 +316,6 @@ def _allowed_map(spec: SearchSpec) -> dict[tuple[int, int], Optional[frozenset[i
     return allowed
 
 
-def _pair_cycle_lengths(ma: Sequence[int], mb: Sequence[int]) -> list[int]:
-    n = len(ma)
-    lengths = [0] * n
-    for start in range(n):
-        if lengths[start]:
-            continue
-        cycle = [start]
-        v = ma[start]
-        use_b = True
-        while v != start:
-            cycle.append(v)
-            v = mb[v] if use_b else ma[v]
-            use_b = not use_b
-        for v in cycle:
-            lengths[v] = len(cycle)
-    return lengths
-
-
 def _matching_dfs(
     n: int,
     num_colors: int,
@@ -334,6 +323,7 @@ def _matching_dfs(
     allowed: Mapping[tuple[int, int], Optional[frozenset[int]]],
     leaf: Callable[[ColoredGraph], bool],
     *,
+    vertex_types: Optional[Sequence[int]] = None,
     pin_edge: Optional[tuple[int, int]] = None,
     break_block_symmetry: bool = False,
     limit: Optional[int] = None,
@@ -345,6 +335,14 @@ def _matching_dfs(
     at an allowed one, prunes the branch.  ``pin_edge`` forces one edge of
     the first free matching (a sound symmetry breaker whenever parallels
     with color 0 are excluded there).
+
+    With ``vertex_types`` (the leaf filter's per-vertex face multiset over
+    the cyclically consecutive color pairs), every cycle of such a pair
+    that the search closes adds its length to a count at each of its
+    vertices, and a branch is cut once some vertex lies on more cycles of
+    one length than the multiset holds: every leaf below it would fail the
+    leaf filter.  Cycles of the fixed matchings are left uncounted, which
+    only prunes less.
 
     ``break_block_symmetry`` may be set when the only fixed matching is the
     standard one (2t, 2t+1): while the first free matching grows, blocks it
@@ -358,11 +356,23 @@ def _matching_dfs(
     for (j, c), lens in allowed.items():
         if lens is None or c >= len(fixed):
             continue
-        if any(
-            length not in lens
-            for length in set(_pair_cycle_lengths(mats[j], mats[c]))
-        ):
+        if not set(bicolored_cycle_lengths(mats[j], mats[c])) <= lens:
             return [], True
+
+    # seen[v][f] counts the cycles of length f through v that the search
+    # closed in tracked pairs; cap[f] is how many the vertex type allows.
+    tracked = set(_consecutive_pairs(num_colors)) if vertex_types is not None else set()
+    cap = [0] * (n + 1)
+    for f in vertex_types or ():
+        if f <= n:
+            cap[f] += 1
+    seen = [[0] * (n + 1) for _ in range(n)]
+    everything = frozenset(range(2, n + 1, 2))
+
+    def uncount(counted: Sequence[tuple[list[int], int]]) -> None:
+        for cycle, f in counted:
+            for y in cycle:
+                seen[y][f] -= 1
 
     hits: list[ColoredGraph] = []
     free_start = len(fixed)
@@ -380,20 +390,56 @@ def _matching_dfs(
         m = [-1] * n
         mats.append(m)
         states = []
+        tracks = []
         for j in range(c):
             lens = allowed.get((j, c))
-            if lens is not None:
+            track = (j, c) in tracked
+            if lens is not None or track:
                 mj = mats[j]
+                lens = everything if lens is None else lens
                 states.append((list(mj), [1] * n, lens, max(lens)))
+                if track:
+                    tracks.append((states[-1][0], mj))
         block_rule = break_block_symmetry and c == free_start
 
+        def count_closed(u: int, v: int) -> Optional[list[tuple[list[int], int]]]:
+            """Count the tracked cycles that edge uv closes; None on overflow."""
+            counted = []
+            over = False
+            for end, mj in tracks:
+                if end[u] != v:
+                    continue
+                # the cycle is the path u ... v of colors j and c, plus uv
+                cycle = []
+                w = u
+                while True:
+                    x = mj[w]
+                    cycle += (w, x)
+                    if x == v:
+                        break
+                    w = m[x]
+                f = len(cycle)
+                for y in cycle:
+                    seen[y][f] += 1
+                    over = over or seen[y][f] > cap[f]
+                counted.append((cycle, f))
+            if over:
+                uncount(counted)
+                return None
+            return counted
+
         def try_edge(u: int, v: int, cont: Callable[[], None]) -> None:
+            closes = False
             for end, plen, lens, maxlen in states:
                 if end[u] == v:
                     if plen[u] + 1 not in lens:
                         return
+                    closes = True
                 elif plen[u] + plen[v] + 2 > maxlen:
                     return
+            counted = count_closed(u, v) if closes and tracks else ()
+            if counted is None:
+                return
             m[u] = v
             m[v] = u
             merged = []
@@ -412,6 +458,8 @@ def _matching_dfs(
                 plen[b] = plen[v]
             m[u] = -1
             m[v] = -1
+            if counted:
+                uncount(counted)
 
         def place() -> None:
             if stop:
@@ -457,8 +505,8 @@ def _standard_matching(n: int) -> tuple[int, ...]:
 
 
 def _leaf_filter(spec: SearchSpec) -> Callable[[ColoredGraph], bool]:
-    consecutive = _consecutive_pairs(spec.colors)
     eps = CyclicPermutation(tuple(range(spec.colors)))
+    target = None if spec.vertex_types is None else list(spec.vertex_types)
 
     def leaf(g: ColoredGraph) -> bool:
         if not g.is_connected():
@@ -467,15 +515,10 @@ def _leaf_filter(spec: SearchSpec) -> Callable[[ColoredGraph], bool]:
             return False
         if spec.bipartite == "none" and is_bipartite(g):
             return False
-        if spec.vertex_types is not None:
-            per_pair = [
-                _pair_cycle_lengths(g.matchings[a], g.matchings[b])
-                for a, b in consecutive
-            ]
-            target = spec.vertex_types
-            for v in range(g.vertex_count):
-                if tuple(sorted(col[v] for col in per_pair)) != target:
-                    return False
+        if target is not None and not all(
+            sorted(faces) == target for faces in zip(*_face_lengths(g, eps))
+        ):
+            return False
         if spec.chi is not None and euler_characteristic(g, eps) != spec.chi:
             return False
         return True
@@ -483,22 +526,25 @@ def _leaf_filter(spec: SearchSpec) -> Callable[[ColoredGraph], bool]:
     return leaf
 
 
-def _verify_hit(spec: SearchSpec, g: ColoredGraph) -> bool:
+def _verify_hit(
+    g: ColoredGraph,
+    allowed: Mapping[tuple[int, int], Optional[frozenset[int]]],
+    leaf: Callable[[ColoredGraph], bool],
+) -> bool:
     """Independent re-check of every constraint on a returned graph."""
-    allowed = _allowed_map(spec)
     for (a, b), lens in allowed.items():
         if lens is None:
             continue
-        seen = set(_pair_cycle_lengths(g.matchings[a], g.matchings[b]))
-        if not seen <= lens:
+        if not set(bicolored_cycle_lengths(g.matchings[a], g.matchings[b])) <= lens:
             return False
-    return _leaf_filter(spec)(g)
+    return leaf(g)
 
 
 def _run_search(
     spec: SearchSpec, limit: Optional[int] = None
 ) -> tuple[list[ColoredGraph], bool]:
     allowed = _allowed_map(spec)
+    leaf = _leaf_filter(spec)
     pin: Optional[tuple[int, int]] = None
     a01 = allowed.get((0, 1))
     if a01 is not None and 2 not in a01:
@@ -508,13 +554,14 @@ def _run_search(
         spec.colors,
         [_standard_matching(spec.order)],
         allowed,
-        _leaf_filter(spec),
+        leaf,
+        vertex_types=spec.vertex_types,
         pin_edge=pin,
         break_block_symmetry=True,
         limit=limit,
     )
     for g in hits:
-        if not _verify_hit(spec, g):  # pragma: no cover - engine soundness net
+        if not _verify_hit(g, allowed, leaf):  # pragma: no cover - engine soundness net
             raise AssertionError("search produced a graph violating its spec")
     return hits, exhaustive
 
@@ -531,6 +578,13 @@ def _dedup_canonical(hits: Iterable[ColoredGraph]) -> list[ColoredGraph]:
 DEFAULT_ORDER_BUDGET = 24
 
 
+def _check_budget(spec: SearchSpec, max_order: int) -> None:
+    if spec.order > max_order:
+        raise BudgetExceededError(
+            f"order {spec.order} exceeds the search budget {max_order}"
+        )
+
+
 def find_gems(spec: SearchSpec, max_order: int = DEFAULT_ORDER_BUDGET) -> list[ColoredGraph]:
     """Exhaustively enumerate matching graphs, deduplicated canonically.
 
@@ -539,10 +593,7 @@ def find_gems(spec: SearchSpec, max_order: int = DEFAULT_ORDER_BUDGET) -> list[C
     such gem exists at this order.  Raises when the order exceeds the
     budget instead of silently truncating.
     """
-    if spec.order > max_order:
-        raise BudgetExceededError(
-            f"order {spec.order} exceeds the search budget {max_order}"
-        )
+    _check_budget(spec, max_order)
     hits, _ = _run_search(spec)
     return _dedup_canonical(hits)
 
@@ -551,10 +602,7 @@ def first_gem(
     spec: SearchSpec, max_order: int = DEFAULT_ORDER_BUDGET
 ) -> Optional[ColoredGraph]:
     """First graph of the deterministic search order, or None."""
-    if spec.order > max_order:
-        raise BudgetExceededError(
-            f"order {spec.order} exceeds the search budget {max_order}"
-        )
+    _check_budget(spec, max_order)
     hits, _ = _run_search(spec, limit=1)
     return hits[0] if hits else None
 
@@ -595,10 +643,7 @@ def search_report(
     limit: Optional[int] = None,
 ) -> SearchReport:
     """Run a search and package the outcome for serialization."""
-    if spec.order > max_order:
-        raise BudgetExceededError(
-            f"order {spec.order} exceeds the search budget {max_order}"
-        )
+    _check_budget(spec, max_order)
     hits, exhaustive = _run_search(spec, limit=limit)
     return SearchReport(spec, exhaustive, tuple(_dedup_canonical(hits)))
 

@@ -261,6 +261,16 @@ def test_homology_rejects_deeply_nested_json(capsys, monkeypatch, tmp_path):
     assert "Traceback" not in err
 
 
+def test_homology_rejects_oversized_text_header(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("2 200000000\n0 1 0\n")
+    code, out, err = run(capsys, monkeypatch, ["homology", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "edge lines" in err
+    assert "Traceback" not in err
+
+
 def test_search_rejects_deeply_nested_spec(capsys, monkeypatch, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text("[" * 100_000)

@@ -17,7 +17,9 @@ from gemkit.core import (
     residue_graphs,
 )
 from gemkit.complexes import homology
+from gemkit.search import SearchSpec, _run_search
 from gemkit.generators import (
+    catalog,
     lens_gem,
     rp2_sum_gem,
     sphere_times_circle_gem,
@@ -212,14 +214,19 @@ def test_canonical_form_modes_are_consistent():
 def test_canonical_labeling_matches_unpruned_reference(mode):
     # Symmetric gems have many labelings tying for the minimum, so this
     # also pins the tie-break: the first (slot order, start) pair wins.
+    # Vertex-transitive gems put every start in one automorphism orbit,
+    # which is where the orbit skip cuts deepest.
     local = random.Random(2207)
     gems = [
         standard_sphere(3),
         lens_gem(2, 1, 2),
         lens_gem(3, 1, 2),
+        lens_gem(5, 2, 4),
         rp2_sum_gem(3),
         sphere_times_circle_gem(4),
     ]
+    gems += [catalog(name) for name in ("torus-4.8.8", "klein-4.8.8", "torus-6.6.6", "s2-6.6.4")]
+    gems += _run_search(SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12)))[0]
     for d in (1, 2, 3, 4):
         for n in (2, 6, 10):
             while True:

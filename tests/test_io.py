@@ -65,6 +65,17 @@ def test_text_errors():
         io.from_text("1 2\n0 1 0\n0 9 1\n")  # vertex out of range
 
 
+def test_text_header_checked_before_allocating():
+    # A 20-byte file must not make the parser allocate (d+1) * n entries.
+    with pytest.raises(ValueError, match="needs 300000000 edge lines, got 1"):
+        io.from_text("2 200000000\n0 1 0\n")
+    with pytest.raises(ValueError, match="needs 3 edge lines, got 4"):
+        io.from_text("2 2\n0 1 0\n0 1 1\n0 1 2\n0 1 2\n")
+    for header in ("0 2", "-1 2", "2 0", "2 3", "2 -4"):
+        with pytest.raises(ValueError, match="need d >= 1 and even n >= 2"):
+            io.from_text(header + "\n0 1 0\n")
+
+
 def test_error_messages_quote_a_bounded_prefix():
     cases = [
         ("[" * 200_000, "bad header line"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from gemkit.core import is_bipartite, isomorphic
 from gemkit.embedding import CyclicPermutation, euler_characteristic, face_cycle_type
 from gemkit.complexes import homology
+from gemkit import search
 from gemkit.search import (
     BudgetExceededError,
     SearchSpec,
@@ -17,7 +19,12 @@ from gemkit.search import (
     search_report,
 )
 
-from helpers import all_perfect_matchings, standard_matching
+from helpers import (
+    all_perfect_matchings,
+    oracle_canonical_labeling,
+    oracle_components,
+    standard_matching,
+)
 
 
 # -- type enumeration ---------------------------------------------------------
@@ -169,6 +176,97 @@ def test_search_order_4_squares_matches_brute_force():
     assert all(
         isomorphic(g, gems[0], "color-permuting") is not None for g in survivors
     )
+
+
+# SHA-256 of the JSON list of each hit's matchings, in search order, as
+# produced before vertex types were propagated into the matching DFS.
+PINNED_HIT_LISTS = [
+    (
+        SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12)),
+        546,
+        "602097b2d5e7d11f417301ee91e38508fbe1defb98651ab69239ba5f81c174b2",
+    ),
+    (
+        SearchSpec(colors=3, order=8, vertex_types=(4, 8, 8)),
+        30,
+        "9ec2221403c6c23dfbf658a8416b6b66047a0595e70ed860c0a629ca91eaebac",
+    ),
+    (
+        SearchSpec(colors=4, order=8, vertex_types=(4, 4, 4, 4)),
+        36,
+        "e3449dc73e47eb23c2d9b64853643d6cafb1ac57f9c23f734828be16f167bb68",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, count, digest", PINNED_HIT_LISTS)
+def test_search_hit_lists_pinned(spec, count, digest):
+    hits, exhaustive = search._run_search(spec)
+    assert exhaustive
+    assert len(hits) == count
+    raw = json.dumps([[list(m) for m in g.matchings] for g in hits]).encode()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_vertex_types_prune_inside_the_dfs():
+    # (4,6,12)/12: without the per-vertex cycle counts 5,816 leaves reach
+    # the leaf filter; with them every leaf reached is a hit.
+    spec = SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12))
+    leaf = search._leaf_filter(spec)
+    reached = []
+
+    def counting_leaf(g):
+        reached.append(g)
+        return leaf(g)
+
+    hits, exhaustive = search._matching_dfs(
+        spec.order,
+        spec.colors,
+        [search._standard_matching(spec.order)],
+        search._allowed_map(spec),
+        counting_leaf,
+        vertex_types=spec.vertex_types,
+        pin_edge=(1, 2),
+        break_block_symmetry=True,
+    )
+    assert exhaustive
+    assert len(hits) == len(reached) == 546
+
+
+def test_vertex_type_search_matches_brute_force():
+    # Every 3-colored graph of order <= 8 over the fixed first matching,
+    # sorted by the face multiset its vertices share (if they share one),
+    # with face lengths taken from component sizes and classes from the
+    # unpruned canonical labeling.
+    from gemkit.core import ColoredGraph
+
+    for n in (4, 6, 8):
+        classes: dict[tuple[int, ...], set] = {}
+        matchings = all_perfect_matchings(n)
+        for m1, m2 in itertools.product(matchings, repeat=2):
+            try:
+                g = ColoredGraph([standard_matching(n), m1, m2])
+            except ValueError:
+                continue
+            if len(oracle_components(g, g.colors)) != 1:
+                continue
+            face = [[0] * n for _ in range(3)]
+            for i, pair in enumerate(((0, 1), (1, 2), (0, 2))):
+                for comp in oracle_components(g, pair):
+                    for v in comp:
+                        face[i][v] = len(comp)
+            types = {tuple(sorted(col[v] for col in face)) for v in range(n)}
+            if len(types) == 1:
+                form = oracle_canonical_labeling(g, "color-permuting")[0]
+                classes.setdefault(types.pop(), set()).add(form)
+        for vt in itertools.combinations_with_replacement(range(2, n + 1, 2), 3):
+            spec = SearchSpec(
+                colors=3,
+                order=n,
+                vertex_types=vt,
+                bigons="include" if 2 in vt else "exclude",
+            )
+            assert len(find_gems(spec)) == len(classes.get(vt, ())), (n, vt)
 
 
 def test_search_hexagons_order_12():
