@@ -15,13 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     ColoredGraph,
     NotConnectedError,
     bicolored_cycle_lengths,
-    component_index,
     is_bipartite,
 )
 
@@ -148,10 +147,6 @@ def condensed_str(runs: Iterable[tuple[object, int]]) -> str:
     return "(" + ",".join(f"{q}^{k}" for q, k in runs) + ")"
 
 
-def _pair_g_values(g: ColoredGraph, eps: CyclicPermutation) -> tuple[int, ...]:
-    return tuple(component_index(g, pair)[1] for pair in eps.pairs())
-
-
 def _require_gem_input(g: ColoredGraph, eps: CyclicPermutation) -> None:
     if len(eps) != g.dimension + 1:
         raise ValueError(
@@ -168,8 +163,8 @@ def euler_characteristic(g: ColoredGraph, eps: CyclicPermutation) -> int:
     plus (1-d) n/2.
     """
     _require_gem_input(g, eps)
-    d = g.dimension
-    return sum(_pair_g_values(g, eps)) + (1 - d) * g.vertex_count // 2
+    g_values = sum(_cycle_count(lengths) for lengths in _face_lengths(g, eps))
+    return g_values + (1 - g.dimension) * g.vertex_count // 2
 
 
 def rho_times_2(g: ColoredGraph, eps: CyclicPermutation) -> int:
@@ -198,17 +193,16 @@ def regular_genus(g: ColoredGraph) -> RegularGenus:
     """Minimize the embedding genus over all canonical arrangements."""
     if not g.is_connected():
         raise NotConnectedError("regular genus needs a connected graph")
-    best: Optional[int] = None
-    winners: list[CyclicPermutation] = []
-    for eps in all_cyclic_permutations(g.dimension):
-        r2 = rho_times_2(g, eps)
-        if best is None or r2 < best:
-            best = r2
-            winners = [eps]
-        elif r2 == best:
-            winners.append(eps)
-    assert best is not None
-    return RegularGenus(best, tuple(winners), is_bipartite(g))
+    d = g.dimension
+    n = g.vertex_count
+    table = _pair_cycles(g)
+    rho2 = {
+        eps: 2 - sum(table[pair][1] for pair in eps.pairs()) - (1 - d) * n // 2
+        for eps in all_cyclic_permutations(d)
+    }
+    best = min(rho2.values())
+    winners = tuple(eps for eps, r2 in rho2.items() if r2 == best)
+    return RegularGenus(best, winners, is_bipartite(g))
 
 
 def face_cycle_type(
@@ -231,6 +225,23 @@ def _face_lengths(g: ColoredGraph, eps: CyclicPermutation) -> list[list[int]]:
     ]
 
 
+def _cycle_count(lengths: list[int]) -> int:
+    """The g-value: a cycle of length f puts f at f vertices, so each // is exact."""
+    return sum(lengths.count(f) // f for f in set(lengths))
+
+
+def _pair_cycles(g: ColoredGraph) -> dict[tuple[int, int], tuple[list[int], int]]:
+    """Face lengths per vertex and g-value of every color pair, each walked once.
+
+    Both orders of a pair key the entry; cycle lengths do not depend on them.
+    """
+    table: dict[tuple[int, int], tuple[list[int], int]] = {}
+    for a, b in itertools.combinations(g.colors, 2):
+        lengths = bicolored_cycle_lengths(g.matchings[a], g.matchings[b])
+        table[a, b] = table[b, a] = (lengths, _cycle_count(lengths))
+    return table
+
+
 def face_multisets_uniform(g: ColoredGraph, eps: CyclicPermutation) -> bool:
     """Weaker diagnostic: the same multiset of face lengths at every vertex.
 
@@ -239,12 +250,8 @@ def face_multisets_uniform(g: ColoredGraph, eps: CyclicPermutation) -> bool:
     verdict; it only helps narrow down why a graph just missed it.
     """
     _require_gem_input(g, eps)
-    per_pair = _face_lengths(g, eps)
-    first = sorted(col[0] for col in per_pair)
-    return all(
-        sorted(col[v] for col in per_pair) == first
-        for v in range(1, g.vertex_count)
-    )
+    rows = [sorted(row) for row in zip(*_face_lengths(g, eps))]
+    return all(row == rows[0] for row in rows)
 
 
 def semi_equivelar_type(
@@ -256,15 +263,25 @@ def semi_equivelar_type(
     With ``bigons="exclude"`` an arrangement whose faces include a 2-cycle
     never qualifies; "include" admits such embeddings.
     """
+    _check_bigons(bigons)
+    _require_gem_input(g, eps)
+    return _signature(_face_lengths(g, eps), bigons)
+
+
+def _check_bigons(bigons: str) -> None:
     if bigons not in ("include", "exclude"):
         raise ValueError(f"bigons must be 'include' or 'exclude', got {bigons!r}")
-    _require_gem_input(g, eps)
-    per_pair = _face_lengths(g, eps)
-    first = _canonical_cyclic(tuple(col[0] for col in per_pair))
+
+
+def _signature(per_pair: Sequence[list[int]], bigons: str) -> Optional[TypeSignature]:
+    """The signature all vertices share, given one face-length list per pair."""
+    rows = zip(*per_pair)
+    raw = next(rows)
+    first = _canonical_cyclic(raw)
     if bigons == "exclude" and 2 in first:
         return None
-    for v in range(1, g.vertex_count):
-        if _canonical_cyclic(tuple(col[v] for col in per_pair)) != first:
+    for row in rows:  # a row equal to vertex 0's is the same cyclic word
+        if row != raw and _canonical_cyclic(row) != first:
             return None
     return TypeSignature(first)
 
@@ -328,23 +345,21 @@ def semi_equivelar_report(
     """
     if not g.is_connected():
         raise NotConnectedError("semi-equivelar analysis needs a connected graph")
+    _check_bigons(bigons)
     d = g.dimension
     n = g.vertex_count
     orientable = is_bipartite(g)
+    table = _pair_cycles(g)
     reports = []
     for eps in all_cyclic_permutations(d):
-        gvals = _pair_g_values(g, eps)
+        lengths, gvals = zip(*(table[pair] for pair in eps.pairs()))
         chi = sum(gvals) + (1 - d) * n // 2
-        sig = semi_equivelar_type(g, eps, bigons)
+        sig = _signature(lengths, bigons)
         reports.append(
             EmbeddingReport(eps, gvals, chi, 2 - chi, orientable, sig, bigons)
         )
     reports.sort(key=lambda r: (r.rho_times_2, r.epsilon.order))
     qualifying = [r for r in reports if r.signature is not None]
-    if qualifying:
-        best = min(r.rho_times_2 for r in qualifying)
-        winners = tuple(
-            r.epsilon for r in qualifying if r.rho_times_2 == best
-        )
-        return SemiEquivelarReport(tuple(reports), best, winners)
-    return SemiEquivelarReport(tuple(reports), None, ())
+    best = qualifying[0].rho_times_2 if qualifying else None
+    winners = tuple(r.epsilon for r in qualifying if r.rho_times_2 == best)
+    return SemiEquivelarReport(tuple(reports), best, winners)

@@ -632,33 +632,29 @@ def _face_trivial_double_cover(g: ColoredGraph, want_bipartite: bool) -> Colored
     )
 
 
-def _build_catalog_gem(name: str, p: Optional[int]) -> ColoredGraph:
+# The parameter of a parametric entry built without one.
+_DEFAULT_P = {"rp2-4.4.2p": 4, "s2-4.4.p": 6}
+
+
+def _build_catalog_gem(entry: CatalogEntry, p: Optional[int]) -> ColoredGraph:
+    name = entry.name
     if name == "rp2-4.4.4":
         return rp2_sum_gem(1)
     if name == "s2-4.4.4":
         return _prism_sphere(4)
     if name == "rp2-4.4.2p":
-        return _moebius_projective(4 if p is None else p)
+        return _moebius_projective(p)
     if name == "s2-4.4.p":
-        return _prism_sphere(6 if p is None else p)
+        return _prism_sphere(p)
     if name == "s2-6.6.4":
         return ColoredGraph(_S2_664)
-    if name == "torus-6.6.6":
-        return _searched_torus_like(name, 12, (6, 6, 6), True)
-    if name == "torus-4.8.8":
-        return _searched_torus_like(name, 16, (4, 8, 8), True)
-    if name == "torus-4.6.12":
+    # The tori and Klein bottles are searched for by their caption.
+    faces = _catalog_faces(entry, p)
+    if faces == (4, 6, 12):
         # Direct search at order 24 is slow; cover an order-12 witness instead.
-        base = _searched_torus_like(name, 12, (4, 6, 12), True)
-        return _face_trivial_double_cover(base, want_bipartite=True)
-    if name == "klein-6.6.6":
-        return _searched_torus_like(name, 12, (6, 6, 6), False)
-    if name == "klein-4.8.8":
-        return _searched_torus_like(name, 16, (4, 8, 8), False)
-    if name == "klein-4.6.12":
-        base = _searched_torus_like(name, 12, (4, 6, 12), False)
-        return _face_trivial_double_cover(base, want_bipartite=False)
-    raise AssertionError(f"no builder for {name}")
+        base = _searched_torus_like(name, 12, faces, entry.orientable)
+        return _face_trivial_double_cover(base, want_bipartite=entry.orientable)
+    return _searched_torus_like(name, entry.order, faces, entry.orientable)
 
 
 _CATALOG: dict[str, CatalogEntry] = {
@@ -740,25 +736,14 @@ def catalog_manifest() -> list[dict]:
     return [entry.to_json_dict() for entry in _CATALOG.values()]
 
 
-def _catalog_faces(name: str, p: Optional[int]) -> tuple[int, ...]:
-    fixed = {
-        "rp2-4.4.4": (4, 4, 4),
-        "s2-4.4.4": (4, 4, 4),
-        "s2-6.6.4": (4, 6, 6),
-        "torus-6.6.6": (6, 6, 6),
-        "klein-6.6.6": (6, 6, 6),
-        "torus-4.8.8": (4, 8, 8),
-        "klein-4.8.8": (4, 8, 8),
-        "torus-4.6.12": (4, 6, 12),
-        "klein-4.6.12": (4, 6, 12),
-    }
-    if name in fixed:
-        return fixed[name]
-    if name == "rp2-4.4.2p":
-        return (4, 4, 2 * (4 if p is None else p))
-    if name == "s2-4.4.p":
-        return (4, 4, 6 if p is None else p)
-    raise AssertionError(name)
+def _catalog_faces(entry: CatalogEntry, p: Optional[int]) -> tuple[int, ...]:
+    """The face lengths of ``entry.faces``: runs like "4^2" or "2p", p filled in."""
+    faces: list[int] = []
+    for run in entry.faces.strip("()").split(","):
+        q, _, k = run.partition("^")
+        length = int(q[:-1] or 1) * p if q.endswith("p") else int(q)
+        faces += [length] * int(k or 1)
+    return tuple(faces)
 
 
 def catalog(name: str, p: Optional[int] = None) -> ColoredGraph:
@@ -772,16 +757,15 @@ def catalog(name: str, p: Optional[int] = None) -> ColoredGraph:
         raise ValueError(f"catalog entry {name!r} takes no parameter")
 
     def build() -> ColoredGraph:
-        g = _build_catalog_gem(name, p)
+        param = _DEFAULT_P.get(name) if p is None else p
+        g = _build_catalog_gem(entry, param)
         fam = f"catalog[{name}]"
         _expect(g.is_connected(), fam, "graph must be connected")
         _expect(is_bipartite(g) == entry.orientable, fam, "orientability mismatch")
         eps = CyclicPermutation((0, 1, 2))
         chi = euler_characteristic(g, eps)
         _expect(chi == entry.chi, fam, f"chi {chi} differs from {entry.chi}")
-        sig = semi_equivelar_type(g, eps, "exclude")
-        want = TypeSignature.from_tuple(_catalog_faces(name, p))
-        _expect(sig == want, fam, f"face type {sig} differs from {want}")
+        _expect_type(g, fam, _catalog_faces(entry, param), "exclude")
         if not entry.parametric:
             _expect(
                 isinstance(entry.order, int) and g.vertex_count == entry.order,

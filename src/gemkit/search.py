@@ -115,12 +115,13 @@ def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
         degrees = range(3, 4 - chi + 1)
 
     out: list[TypeSolution] = []
-    seen: set[tuple] = set()
     for dp in degrees:
         for combo in itertools.combinations_with_replacement(
             range(4, q_max + 1, 2), dp
         ):
-            if chi > 0 and _is_square_family_instance(combo):
+            # For chi > 0 every combo has three faces; (4, 4, q) with q > 4
+            # is folded into the symbolic family.
+            if chi > 0 and combo[:2] == (4, 4) and combo[2] > 4:
                 continue
             r = 1 - Fraction(dp, 2) + sum(Fraction(1, q) for q in combo)
             if r == 0:
@@ -132,11 +133,9 @@ def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
                 if p.denominator != 1 or p < 4:
                     continue
                 order = int(p)
+            # A cyclic word determines its multiset, so no two combos share one.
             for arrangement in _cyclic_arrangements(combo):
-                key = (arrangement, order)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(TypeSolution(_runs_of(arrangement), order, chi))
+                out.append(TypeSolution(_runs_of(arrangement), order, chi))
     if chi > 0:
         order = "q" if chi == 1 else f"{chi}q"
         out.append(TypeSolution((( 4, 2), ("q", 1)), order, chi))
@@ -144,19 +143,16 @@ def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
     return out
 
 
-def _is_square_family_instance(combo: tuple[int, ...]) -> bool:
-    """True for (4, 4, q) with q > 4, the shape folded into the family."""
-    return (
-        len(combo) == 3
-        and combo[0] == 4
-        and combo[1] == 4
-        and combo[2] > 4
-    )
-
-
 def _cyclic_arrangements(combo: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Distinct cyclic words (up to rotation and reflection) of a multiset."""
-    return sorted({_canonical_cyclic(p) for p in itertools.permutations(combo)})
+    """Distinct cyclic words (up to rotation and reflection) of a multiset.
+
+    Every word has a rotation that starts with the least face, so only the
+    distinct orders of the other faces behind it are canonicalized.
+    """
+    least, *rest = sorted(combo)
+    return sorted(
+        {_canonical_cyclic((least,) + p) for p in set(itertools.permutations(rest))}
+    )
 
 
 def _solution_sort_key(s: TypeSolution):
@@ -350,8 +346,11 @@ def _matching_dfs(
     partner from them is only tried in the lowest such block, at its even
     vertex.  Labeled duplicates disappear; every isomorphism class keeps a
     representative.  Returns the surviving graphs and whether the space was
-    fully explored.
+    fully explored.  A pair allowed no length at all has no gem: the search
+    is complete and empty.
     """
+    if any(lens is not None and not lens for lens in allowed.values()):
+        return [], True
     mats: list[list[int]] = [list(m) for m in fixed]
     for (j, c), lens in allowed.items():
         if lens is None or c >= len(fixed):

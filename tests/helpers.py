@@ -211,3 +211,107 @@ def doubled(g: ColoredGraph) -> ColoredGraph:
     mats = [list(m) + [w + n for w in m] for m in g.matchings]
     mats.append([v + n for v in range(n)] + list(range(n)))
     return ColoredGraph(mats)
+
+
+def random_gem(rng: random.Random, d: int, n: int) -> ColoredGraph:
+    """Random connected (d+1)-colored graph of the given even order."""
+    while True:
+        g = ColoredGraph(
+            [standard_matching(n)] + [random_matching(rng, n) for _ in range(d)]
+        )
+        if g.is_connected():
+            return g
+
+
+def oracle_semi_equivelar_type(g: ColoredGraph, eps, bigons: str = "exclude"):
+    """Per-arrangement reference: canonicalize the face tuple of every vertex.
+
+    The library's ``semi_equivelar_type`` before the vertex-uniformity test
+    was shared with the all-arrangement report, kept verbatim.
+    """
+    from gemkit.embedding import (
+        TypeSignature,
+        _canonical_cyclic,
+        _face_lengths,
+        _require_gem_input,
+    )
+
+    if bigons not in ("include", "exclude"):
+        raise ValueError(f"bigons must be 'include' or 'exclude', got {bigons!r}")
+    _require_gem_input(g, eps)
+    per_pair = _face_lengths(g, eps)
+    first = _canonical_cyclic(tuple(col[0] for col in per_pair))
+    if bigons == "exclude" and 2 in first:
+        return None
+    for v in range(1, g.vertex_count):
+        if _canonical_cyclic(tuple(col[v] for col in per_pair)) != first:
+            return None
+    return TypeSignature(first)
+
+
+def _oracle_g_values(g: ColoredGraph, eps) -> tuple[int, ...]:
+    from gemkit.core import component_index
+
+    return tuple(component_index(g, pair)[1] for pair in eps.pairs())
+
+
+def oracle_semi_equivelar_report(g: ColoredGraph, bigons: str = "exclude"):
+    """Per-arrangement reference: walk the d+1 pairs again for every arrangement.
+
+    The library's ``semi_equivelar_report`` before it read one pair-cycle
+    table, kept verbatim apart from the names of its helpers: g-values come
+    from ``component_index`` per pair, signatures from the per-arrangement
+    type above.
+    """
+    from gemkit.core import NotConnectedError, is_bipartite
+    from gemkit.embedding import (
+        EmbeddingReport,
+        SemiEquivelarReport,
+        all_cyclic_permutations,
+    )
+
+    if not g.is_connected():
+        raise NotConnectedError("semi-equivelar analysis needs a connected graph")
+    d = g.dimension
+    n = g.vertex_count
+    orientable = is_bipartite(g)
+    reports = []
+    for eps in all_cyclic_permutations(d):
+        gvals = _oracle_g_values(g, eps)
+        chi = sum(gvals) + (1 - d) * n // 2
+        sig = oracle_semi_equivelar_type(g, eps, bigons)
+        reports.append(
+            EmbeddingReport(eps, gvals, chi, 2 - chi, orientable, sig, bigons)
+        )
+    reports.sort(key=lambda r: (r.rho_times_2, r.epsilon.order))
+    qualifying = [r for r in reports if r.signature is not None]
+    if qualifying:
+        best = min(r.rho_times_2 for r in qualifying)
+        winners = tuple(
+            r.epsilon for r in qualifying if r.rho_times_2 == best
+        )
+        return SemiEquivelarReport(tuple(reports), best, winners)
+    return SemiEquivelarReport(tuple(reports), None, ())
+
+
+def oracle_regular_genus(g: ColoredGraph):
+    """Per-arrangement reference for ``regular_genus``, kept verbatim apart
+    from computing each arrangement's genus from ``component_index`` counts.
+    """
+    from gemkit.core import NotConnectedError, is_bipartite
+    from gemkit.embedding import RegularGenus, all_cyclic_permutations
+
+    if not g.is_connected():
+        raise NotConnectedError("regular genus needs a connected graph")
+    best = None
+    winners = []
+    for eps in all_cyclic_permutations(g.dimension):
+        chi = sum(_oracle_g_values(g, eps)) + (1 - g.dimension) * g.vertex_count // 2
+        r2 = 2 - chi
+        if best is None or r2 < best:
+            best = r2
+            winners = [eps]
+        elif r2 == best:
+            winners.append(eps)
+    assert best is not None
+    return RegularGenus(best, tuple(winners), is_bipartite(g))

@@ -1,11 +1,15 @@
+import hashlib
 import io as stdio
 import json
+import random
 
 import pytest
 
 from gemkit import cli
 from gemkit import io as gio
-from gemkit.generators import lens_gem, standard_sphere
+from gemkit.generators import catalog, lens_gem, standard_sphere
+
+from helpers import random_gem
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -169,6 +173,15 @@ def test_search_command(capsys, monkeypatch, tmp_path):
     assert data["hit_count"] == 0
 
 
+def test_search_spec_with_an_empty_length_list(capsys, monkeypatch, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"colors": 3, "order": 8, "pair_lengths": {"02": []}}))
+    code, out, err = run(capsys, monkeypatch, ["search", "--spec", str(spec)])
+    assert code == 0
+    assert out == "exhaustive: yes\nhits: 0\n"
+    assert err == ""
+
+
 def test_search_budget_error(capsys, monkeypatch, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"colors": 3, "order": 40}))
@@ -280,3 +293,46 @@ def test_search_rejects_deeply_nested_spec(capsys, monkeypatch, tmp_path):
     assert err.startswith("error:") and "nested too deeply" in err
     assert "Traceback" not in err
 
+
+
+# SHA-256 of the stdout of `gemkit analyze`, text and --json, as produced
+# when each arrangement walked its own color pairs.
+PINNED_ANALYZE = [
+    (
+        "torus-4.8.8",
+        "exclude",
+        "dff6354bc456169c9e6b525d73dca7347df22eb997cd31b6a53d8a442e322b30",
+        "9e0bca5c1885876ca7e664b40e361bb6ef564b0786df57f5b0a5fac877ffd163",
+    ),
+    (
+        "lens-5-2-2",
+        "include",
+        "8d187777d716ac05a63b90b111604a402fd4c0c14830cbac827bbee7406af5a4",
+        "d2dabd397a48847f6e9ab8412e77bc17ae0e8f3afd112db2fc951413caec4038",
+    ),
+    (
+        "random-d5-n16",
+        "exclude",
+        "ceaabced412c25e5071438504fa25074376a2efed4ab1e63b67cd5f87d5d2d12",
+        "ff96c9dba0a78136a1985d0fc0470b7726455a9c98b2c5da8928565afea9c2f5",
+    ),
+]
+
+
+def _pinned_gem(name):
+    if name == "torus-4.8.8":
+        return catalog(name)
+    if name == "lens-5-2-2":
+        return lens_gem(5, 2, 2)
+    return random_gem(random.Random(5), 5, 16)
+
+
+@pytest.mark.parametrize("name, bigons, text_digest, json_digest", PINNED_ANALYZE)
+def test_analyze_output_pinned(capsys, monkeypatch, name, bigons, text_digest, json_digest):
+    gem = gio.to_json(_pinned_gem(name))
+    for extra, digest in (([], text_digest), (["--json"], json_digest)):
+        code, out, _ = run(
+            capsys, monkeypatch, ["analyze", "--bigons", bigons] + extra, stdin=gem
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -15,7 +15,10 @@ from gemkit.embedding import (
     semi_equivelar_report,
     semi_equivelar_type,
 )
+from gemkit.core import component_index
+from gemkit.embedding import _pair_cycles
 from gemkit.generators import (
+    catalog,
     lens_gem,
     rp2_sum_gem,
     sphere_times_circle_gem,
@@ -23,7 +26,15 @@ from gemkit.generators import (
     torus_sum_gem,
 )
 
-from helpers import oracle_chi_from_counts, random_permutation, random_surface_gem
+from helpers import (
+    oracle_chi_from_counts,
+    oracle_regular_genus,
+    oracle_semi_equivelar_report,
+    oracle_semi_equivelar_type,
+    random_gem,
+    random_permutation,
+    random_surface_gem,
+)
 
 rng = random.Random(99)
 
@@ -339,3 +350,89 @@ def test_genus_parity_on_manifold_gems():
             assert r2 >= 0 and r2 % 2 == 0
     for g in (rp2_sum_gem(1), rp2_sum_gem(4)):
         assert rho_times_2(g, EPS3) >= 0
+
+
+# -- the pair-cycle table against the per-arrangement reference -------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_pair_cycles_count_components(d):
+    g = random_gem(random.Random(d), d, 12)
+    table = _pair_cycles(g)
+    assert len(table) == d * (d + 1)
+    for (a, b), (lengths, count) in table.items():
+        assert count == component_index(g, (a, b))[1]
+        assert table[b, a] == (lengths, count)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_report_and_genus_match_per_arrangement_reference(d):
+    r = random.Random(1000 + d)
+    for n in (2, 4, 8, 12):
+        for _ in range(2 if d == 6 else 4):
+            g = random_gem(r, d, n)
+            assert regular_genus(g) == oracle_regular_genus(g)
+            for policy in ("include", "exclude"):
+                rep = semi_equivelar_report(g, policy)
+                assert rep == oracle_semi_equivelar_report(g, policy)
+            for eps in all_cyclic_permutations(d)[:3]:
+                assert semi_equivelar_type(g, eps, "include") == (
+                    oracle_semi_equivelar_type(g, eps, "include")
+                )
+
+
+def _uniform_gems():
+    return [
+        standard_sphere(4),
+        lens_gem(5, 2, 2),
+        lens_gem(3, 1, 4),
+        rp2_sum_gem(3),
+        torus_sum_gem(2),
+        sphere_times_circle_gem(4),
+        sphere_times_circle_gem(4, twisted=True),
+    ] + [
+        catalog(name)
+        for name in ("torus-4.8.8", "klein-6.6.6", "s2-6.6.4", "rp2-4.4.2p", "s2-4.4.p")
+    ]
+
+
+def test_report_matches_reference_on_relabeled_uniform_gems():
+    # Every vertex agrees on these, so the uniformity test compares them all.
+    r = random.Random(7)
+    qualified = 0
+    for g in _uniform_gems():
+        h = g.relabel(random_permutation(r, g.vertex_count))
+        assert regular_genus(h) == oracle_regular_genus(h)
+        for policy in ("include", "exclude"):
+            rep = semi_equivelar_report(h, policy)
+            assert rep == oracle_semi_equivelar_report(h, policy)
+            qualified += rep.witness_rho_times_2 is not None
+    assert qualified >= 20
+
+
+# Under (0,2,1,3) every vertex sees the faces {2, 4, 4, 8}, but as two
+# different cyclic words, (2,4,4,8) and (2,4,8,4).
+MULTISET_ONLY = ColoredGraph(
+    [
+        (1, 0, 3, 2, 5, 4, 7, 6),
+        (7, 6, 4, 5, 2, 3, 1, 0),
+        (7, 6, 3, 2, 5, 4, 1, 0),
+        (2, 5, 0, 6, 7, 1, 3, 4),
+    ]
+)
+
+
+def test_same_multiset_is_not_the_same_cyclic_word():
+    eps = CyclicPermutation((0, 2, 1, 3))
+    assert face_multisets_uniform(MULTISET_ONLY, eps)
+    assert semi_equivelar_type(MULTISET_ONLY, eps, "include") is None
+    rep = semi_equivelar_report(MULTISET_ONLY, "include")
+    assert rep == oracle_semi_equivelar_report(MULTISET_ONLY, "include")
+    assert next(r for r in rep.reports if r.epsilon == eps).signature is None
+
+
+def test_report_rejects_bad_bigon_policy():
+    with pytest.raises(ValueError):
+        semi_equivelar_report(lens_gem(2, 1, 2), bigons="maybe")
+    with pytest.raises(NotConnectedError):
+        semi_equivelar_report(ColoredGraph([[1, 0, 3, 2]] * 3), bigons="maybe")

@@ -1,12 +1,18 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from gemkit.core import is_bipartite, isomorphic
-from gemkit.embedding import CyclicPermutation, euler_characteristic, face_cycle_type
+from gemkit.embedding import (
+    CyclicPermutation,
+    _canonical_cyclic,
+    euler_characteristic,
+    face_cycle_type,
+)
 from gemkit.complexes import homology
 from gemkit import search
 from gemkit.search import (
@@ -103,6 +109,26 @@ def test_types_against_brute_force():
                     faces.extend([qv] * k)
                 produced.add((tuple(sorted(faces)), s.order))
         assert produced == brute
+
+
+def test_cyclic_arrangements_match_brute_force():
+    r = random.Random(5)
+    for size in range(1, 9):
+        for _ in range(1 if size == 8 else 4):
+            combo = tuple(sorted(r.choice((4, 6, 8, 10)) for _ in range(size)))
+            brute = sorted({_canonical_cyclic(p) for p in itertools.permutations(combo)})
+            assert search._cyclic_arrangements(combo) == brute
+
+
+def test_types_chi_minus_6_pinned():
+    # Count and SHA-256 of the JSON list, as produced when every
+    # permutation of each face multiset was canonicalized.
+    sols = enumerate_embedding_types(-6)
+    assert len(sols) == 719
+    raw = json.dumps([s.to_json_dict() for s in sols]).encode()
+    assert hashlib.sha256(raw).hexdigest() == (
+        "95e5842885f8c6015bd44b96d3e95ac3d782fbdf6a319148273b65377261872a"
+    )
 
 
 def test_type_solution_json():
@@ -335,6 +361,24 @@ def test_search_limit_marks_nonexhaustive():
 def test_first_gem_none_when_empty():
     spec = SearchSpec(colors=3, order=12, vertex_types=(4, 6, 6), chi=1)
     assert first_gem(spec) is None
+
+
+UNSATISFIABLE_SPECS = [
+    SearchSpec(colors=3, order=8, vertex_types=(10, 10, 10)),
+    SearchSpec(colors=3, order=8, pair_lengths={(0, 2): (10,)}),
+    SearchSpec(colors=4, order=8, pair_lengths={(0, 1): (2,)}, bigons="exclude"),
+    SearchSpec.from_json_dict({"colors": 3, "order": 8, "pair_lengths": {"02": []}}),
+]
+
+
+@pytest.mark.parametrize("spec", UNSATISFIABLE_SPECS)
+def test_pair_without_allowed_lengths_is_a_complete_empty_search(spec):
+    # Some pair admits no cycle length at all, so no gem exists.
+    assert find_gems(spec) == []
+    assert first_gem(spec) is None
+    report = search_report(spec)
+    assert report.exhaustive
+    assert report.to_json_dict()["hit_count"] == 0
 
 
 # -- all-squares classification -------------------------------------------------
