@@ -286,6 +286,7 @@ def _surface_sum_matching(n_vertices: int, want_bipartite: bool) -> list[int]:
         [m0, m1],
         {(0, 2): ham, (1, 2): ham},
         leaf,
+        bipartite=want_bipartite,
         limit=1,
     )
     if not hits:
@@ -651,7 +652,8 @@ def _build_catalog_gem(entry: CatalogEntry, p: Optional[int]) -> ColoredGraph:
     # The tori and Klein bottles are searched for by their caption.
     faces = _catalog_faces(entry, p)
     if faces == (4, 6, 12):
-        # Direct search at order 24 is slow; cover an order-12 witness instead.
+        # A direct order-24 search takes seconds; covering an order-12 witness
+        # takes milliseconds.
         base = _searched_torus_like(name, 12, faces, entry.orientable)
         return _face_trivial_double_cover(base, want_bipartite=entry.orientable)
     return _searched_torus_like(name, entry.order, faces, entry.orientable)

@@ -14,9 +14,11 @@ bicolored-cycle-length constraints as paths merge, so most of the space is
 never visited.  A ``vertex_types`` spec is propagated too: each cycle of a
 cyclically consecutive color pair adds its length to a count at every
 vertex on it when it closes, and a vertex holding more cycles of one length
-than the multiset allows cuts the branch.  Only branches whose leaves would
-all fail the leaf filter are cut, so the hits and their order are those of
-checking vertex types at the leaves alone.  Results are deduplicated by
+than the multiset allows cuts the branch.  A bipartite-only spec keeps a
+parity union-find over the vertices, and an edge that would close an odd
+cycle cuts the branch.  Only branches whose leaves would all fail the leaf
+filter are cut, so the hits and their order are those of checking vertex
+types and bipartiteness at the leaves alone.  Results are deduplicated by
 exact canonical forms under color permutation; an empty result therefore
 means a completed search, never a truncated one.
 """
@@ -247,9 +249,9 @@ class SearchSpec:
             colors=_json_int(data["colors"], "colors"),
             order=_json_int(data["order"], "order"),
             pair_lengths=pair_lengths,
-            vertex_types=_json_ints(vertex_types, "vertex_types")
-            if vertex_types
-            else None,
+            vertex_types=None
+            if vertex_types is None
+            else _json_ints(vertex_types, "vertex_types"),
             bipartite=data.get("bipartite", "any"),
             bigons=data.get("bigons", "exclude"),
             chi=None if chi is None else _json_int(chi, "chi"),
@@ -320,6 +322,7 @@ def _matching_dfs(
     leaf: Callable[[ColoredGraph], bool],
     *,
     vertex_types: Optional[Sequence[int]] = None,
+    bipartite: bool = False,
     pin_edge: Optional[tuple[int, int]] = None,
     break_block_symmetry: bool = False,
     limit: Optional[int] = None,
@@ -339,6 +342,16 @@ def _matching_dfs(
     one length than the multiset holds: every leaf below it would fail the
     leaf filter.  Cycles of the fixed matchings are left uncounted, which
     only prunes less.
+
+    With ``bipartite`` (the leaf filter accepts bipartite graphs only), a
+    parity union-find over the vertices, seeded from the fixed matchings,
+    records which side of the bipartition each vertex takes relative to its
+    root.  An edge whose ends already lie on one side closes an odd cycle,
+    so every leaf below it would fail the leaf filter and the branch is cut;
+    any other edge joins the two sides and is unjoined on backtrack.  Union
+    by size without path compression keeps each undo to two entries.  Fixed
+    matchings that already close an odd cycle leave the search complete and
+    empty.
 
     ``break_block_symmetry`` may be set when the only fixed matching is the
     standard one (2t, 2t+1): while the first free matching grows, blocks it
@@ -367,6 +380,46 @@ def _matching_dfs(
             cap[f] += 1
     seen = [[0] * (n + 1) for _ in range(n)]
     everything = frozenset(range(2, n + 1, 2))
+
+    # up[v] is v's parent in the parity union-find, flip[v] whether v sits
+    # on the other side from it (read only while v has a parent), size[r]
+    # the number of vertices under root r.
+    up = list(range(n))
+    flip = [0] * n
+    size = [1] * n
+
+    def join(u: int, v: int) -> Optional[int]:
+        """Put u and v on opposite sides; None if they share a side.
+
+        Returns the root hung below the other root, or -1 when u and v were
+        already on opposite sides of one tree.
+        """
+        pu = pv = 0
+        while up[u] != u:
+            pu ^= flip[u]
+            u = up[u]
+        while up[v] != v:
+            pv ^= flip[v]
+            v = up[v]
+        if u == v:
+            return None if pu == pv else -1
+        if size[u] < size[v]:
+            u, v = v, u
+        up[v] = u
+        flip[v] = pu ^ pv ^ 1
+        size[u] += size[v]
+        return v
+
+    def unjoin(r: int) -> None:
+        if r >= 0:
+            size[up[r]] -= size[r]
+            up[r] = r
+
+    if bipartite:
+        for mf in mats:
+            for u, v in enumerate(mf):
+                if u < v and join(u, v) is None:
+                    return [], True
 
     def uncount(counted: Sequence[tuple[list[int], int]]) -> None:
         for cycle, f in counted:
@@ -460,6 +513,15 @@ def _matching_dfs(
             if counted:
                 uncount(counted)
 
+        def try_joined(u: int, v: int, cont: Callable[[], None]) -> None:
+            hung = join(u, v)
+            if hung is not None:
+                try_edge(u, v, cont)
+                unjoin(hung)
+
+        # Chosen once here, so a search without the parity cut pays nothing.
+        attempt = try_joined if bipartite else try_edge
+
         def place() -> None:
             if stop:
                 return
@@ -485,12 +547,12 @@ def _matching_dfs(
                         if base != (u & ~1) and m[base] < 0 and m[base ^ 1] < 0:
                             if base != first_untouched or v != base:
                                 continue
-                    try_edge(u, v, place)
+                    attempt(u, v, place)
                     if stop:
                         return
 
         if c == free_start and pin_edge is not None:
-            try_edge(pin_edge[0], pin_edge[1], place)
+            attempt(pin_edge[0], pin_edge[1], place)
         else:
             place()
         mats.pop()
@@ -555,6 +617,7 @@ def _run_search(
         allowed,
         leaf,
         vertex_types=spec.vertex_types,
+        bipartite=spec.bipartite == "only",
         pin_edge=pin,
         break_block_symmetry=True,
         limit=limit,

@@ -85,6 +85,25 @@ def oracle_chi_from_counts(g: ColoredGraph, eps_pairs) -> int:
     return n - edges + faces
 
 
+def oracle_is_bipartite(g: ColoredGraph) -> bool:
+    """Breadth-first 2-colouring over every color's edges."""
+    side = [-1] * g.vertex_count
+    for start in range(g.vertex_count):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        queue = [start]
+        for u in queue:
+            for m in g.matchings:
+                v = m[u]
+                if side[v] < 0:
+                    side[v] = 1 - side[u]
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    return False
+    return True
+
+
 def matrix_product(a, b):
     rows = len(a)
     inner = len(b)

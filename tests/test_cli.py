@@ -264,6 +264,17 @@ def test_search_rejects_malformed_spec(capsys, monkeypatch, tmp_path, spec, need
     assert err.startswith("error:") and needle in err
 
 
+@pytest.mark.parametrize("vertex_types", [0, False, "", {}, []])
+def test_search_rejects_falsy_vertex_types(capsys, monkeypatch, tmp_path, vertex_types):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"colors": 3, "order": 8, "vertex_types": vertex_types}))
+    code, out, err = run(capsys, monkeypatch, ["search", "--spec", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "vertex_types" in err
+    assert "Traceback" not in err
+
+
 def test_homology_rejects_deeply_nested_json(capsys, monkeypatch, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"dimension": ' + "[" * 100_000)

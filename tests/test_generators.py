@@ -1,6 +1,6 @@
 import pytest
 
-from gemkit.core import is_bipartite, is_contracted, isomorphic, residue_count
+from gemkit.core import ColoredGraph, is_bipartite, is_contracted, isomorphic, residue_count
 from gemkit.embedding import (
     CyclicPermutation,
     TypeSignature,
@@ -165,6 +165,29 @@ def test_surface_sum_matching_reports_a_failed_search(monkeypatch, want_bipartit
     monkeypatch.setattr(search, "_matching_dfs", lambda *args, **kwargs: ([], True))
     with pytest.raises(FamilyValidationError, match=f"no {kind} Hamiltonian matching"):
         generators._surface_sum_matching(10, want_bipartite)
+
+
+# The torus fallback's first matching for n = 1..3, as found before the
+# search cut odd cycles.
+PINNED_TORUS_FALLBACK = {
+    1: [3, 4, 5, 0, 1, 2],
+    2: [3, 4, 7, 0, 1, 8, 9, 2, 5, 6],
+    3: [3, 4, 7, 0, 1, 8, 11, 2, 5, 12, 13, 6, 9, 10],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_TORUS_FALLBACK))
+def test_torus_fallback_matching_pinned(n):
+    assert generators._surface_sum_matching(4 * n + 2, True) == PINNED_TORUS_FALLBACK[n]
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_torus_fallback_matching_validates(n):
+    size = 4 * n + 2
+    m0, m1 = generators._base_cycle(size)
+    m2 = generators._surface_sum_matching(size, True)
+    g = ColoredGraph([m0, m1, m2])
+    assert generators._validated_torus_sum(g, n, f"torus_sum_gem({n})") is g
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

@@ -29,6 +29,7 @@ from helpers import (
     all_perfect_matchings,
     oracle_canonical_labeling,
     oracle_components,
+    oracle_is_bipartite,
     standard_matching,
 )
 
@@ -171,6 +172,17 @@ def test_spec_json_round_trip():
     assert again.vertex_types == (4, 6, 6)
 
 
+@pytest.mark.parametrize("vertex_types", [0, False, "", {}, []])
+def test_spec_json_rejects_falsy_vertex_types(vertex_types):
+    with pytest.raises(ValueError, match="vertex_types"):
+        SearchSpec.from_json_dict({"colors": 3, "order": 8, "vertex_types": vertex_types})
+
+
+def test_spec_json_null_or_missing_vertex_types_is_no_constraint():
+    for data in ({"colors": 3, "order": 8, "vertex_types": None}, {"colors": 3, "order": 8}):
+        assert SearchSpec.from_json_dict(data).vertex_types is None
+
+
 def test_search_order_4_squares_matches_brute_force():
     spec = SearchSpec(
         colors=3,
@@ -225,7 +237,37 @@ PINNED_HIT_LISTS = [
 ]
 
 
-@pytest.mark.parametrize("spec, count, digest", PINNED_HIT_LISTS)
+_SQUARES = {(0, 1): (4,), (1, 2): (4,), (2, 3): (4,), (0, 3): (4,)}
+
+# The same digests for bipartite searches, as produced before the matching
+# DFS cut edges that close odd cycles.
+PINNED_BIPARTITE_HIT_LISTS = [
+    (
+        SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite="only"),
+        1200,
+        "d15d2179887296812815e2ccac51ed4524ba96e7280a18bd4bfa26a9854ca529",
+    ),
+    (
+        SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12), bipartite="only"),
+        78,
+        "0058d9d858bdd6852a3cf44b15310a655af89b8f04879e8503390f5086e7b586",
+    ),
+    (
+        SearchSpec(colors=3, order=12, vertex_types=(6, 6, 6), bipartite="only"),
+        18,
+        "f26f0749fe1ba6a38a2219b8faa73fa3dfcf3b107c5c561d6d6e3d24d3ac8491",
+    ),
+    (
+        SearchSpec(colors=4, order=12, pair_lengths=_SQUARES, bipartite="only"),
+        128,
+        "2abcc228adbbfba1817becb2883d6e9d9464ec229eb6e38daa28b5ff3009e7d2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, count, digest", PINNED_HIT_LISTS + PINNED_BIPARTITE_HIT_LISTS
+)
 def test_search_hit_lists_pinned(spec, count, digest):
     hits, exhaustive = search._run_search(spec)
     assert exhaustive
@@ -259,15 +301,78 @@ def test_vertex_types_prune_inside_the_dfs():
     assert len(hits) == len(reached) == 546
 
 
+def test_bipartite_prunes_inside_the_dfs():
+    # (4,8,8)/16 bipartite: without the parity union-find 7,900 leaves reach
+    # the leaf filter, 6,624 of them not bipartite; with it 1,276, all
+    # bipartite, and the same hits in the same order.
+    spec = SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite="only")
+    leaf = search._leaf_filter(spec)
+    runs = {}
+    for flag in (False, True):
+        reached = []
+
+        def counting_leaf(g):
+            reached.append(g)
+            return leaf(g)
+
+        hits, exhaustive = search._matching_dfs(
+            spec.order,
+            spec.colors,
+            [search._standard_matching(spec.order)],
+            search._allowed_map(spec),
+            counting_leaf,
+            vertex_types=spec.vertex_types,
+            bipartite=flag,
+            pin_edge=(1, 2),
+            break_block_symmetry=True,
+        )
+        assert exhaustive
+        runs[flag] = (hits, reached)
+    (plain, plain_reached), (cut, cut_reached) = runs[False], runs[True]
+    assert [g.matchings for g in cut] == [g.matchings for g in plain]
+    assert len(cut) == 1200
+    assert len(plain_reached) == 7900 and len(cut_reached) == 1276
+    assert not all(oracle_is_bipartite(g) for g in plain_reached)
+    assert all(oracle_is_bipartite(g) for g in cut_reached)
+
+
+def test_fixed_matchings_with_an_odd_cycle_leave_no_bipartite_gem():
+    # Edges 0-1, 1-2 and 2-0 of colors 0, 1 and 2 form a triangle.
+    from gemkit.core import ColoredGraph
+
+    fixed = [[1, 0, 3, 2, 5, 4], [4, 2, 1, 5, 0, 3], [2, 5, 0, 4, 3, 1]]
+    assert not oracle_is_bipartite(ColoredGraph(fixed))
+    for flag, want in ((True, []), (False, [tuple(map(tuple, fixed))])):
+        hits, exhaustive = search._matching_dfs(
+            6, 3, fixed, {}, lambda g: True, bipartite=flag
+        )
+        assert exhaustive
+        assert [g.matchings for g in hits] == want
+
+
+def test_order_24_bipartite_4_6_12_search_finds_a_torus():
+    spec = SearchSpec(colors=3, order=24, vertex_types=(4, 6, 12), bipartite="only")
+    g = first_gem(spec)
+    assert g is not None
+    assert g.is_connected()
+    assert oracle_is_bipartite(g)
+    eps = CyclicPermutation((0, 1, 2))
+    for v in range(g.vertex_count):
+        assert sorted(face_cycle_type(g, eps, v)) == [4, 6, 12]
+    assert euler_characteristic(g, eps) == 0
+
+
 def test_vertex_type_search_matches_brute_force():
     # Every 3-colored graph of order <= 8 over the fixed first matching,
-    # sorted by the face multiset its vertices share (if they share one),
-    # with face lengths taken from component sizes and classes from the
-    # unpruned canonical labeling.
+    # sorted by the face multiset its vertices share (if they share one)
+    # and by bipartiteness, with face lengths taken from component sizes,
+    # bipartiteness from a BFS 2-colouring and classes from the unpruned
+    # canonical labeling.
     from gemkit.core import ColoredGraph
 
     for n in (4, 6, 8):
         classes: dict[tuple[int, ...], set] = {}
+        bipartite: dict[tuple[int, ...], set] = {}
         matchings = all_perfect_matchings(n)
         for m1, m2 in itertools.product(matchings, repeat=2):
             try:
@@ -284,15 +389,22 @@ def test_vertex_type_search_matches_brute_force():
             types = {tuple(sorted(col[v] for col in face)) for v in range(n)}
             if len(types) == 1:
                 form = oracle_canonical_labeling(g, "color-permuting")[0]
-                classes.setdefault(types.pop(), set()).add(form)
+                vt = types.pop()
+                classes.setdefault(vt, set()).add(form)
+                if oracle_is_bipartite(g):
+                    bipartite.setdefault(vt, set()).add(form)
         for vt in itertools.combinations_with_replacement(range(2, n + 1, 2), 3):
-            spec = SearchSpec(
-                colors=3,
-                order=n,
-                vertex_types=vt,
-                bigons="include" if 2 in vt else "exclude",
-            )
-            assert len(find_gems(spec)) == len(classes.get(vt, ())), (n, vt)
+            every = classes.get(vt, set())
+            only = bipartite.get(vt, set())
+            for policy, want in (("any", every), ("only", only), ("none", every - only)):
+                spec = SearchSpec(
+                    colors=3,
+                    order=n,
+                    vertex_types=vt,
+                    bipartite=policy,
+                    bigons="include" if 2 in vt else "exclude",
+                )
+                assert len(find_gems(spec)) == len(want), (n, vt, policy)
 
 
 def test_search_hexagons_order_12():
