@@ -280,10 +280,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NotConnectedError, search.BudgetExceededError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except generators.FamilyValidationError as exc:
+    except (
+        ValueError,
+        NotConnectedError,
+        search.BudgetExceededError,
+        generators.FamilyValidationError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from gemkit import cli
+from gemkit import cli, generators
 from gemkit import io as gio
-from gemkit.generators import catalog, lens_gem, standard_sphere
+from gemkit.generators import catalog, lens_gem, rp2_sum_gem, standard_sphere
 
 from helpers import random_gem
 
@@ -43,6 +43,24 @@ def test_gen_unknown_family_and_missing_flag(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["gen", "lens", "--p", "2"])
     assert code == 1
     assert "needs --q" in err
+
+
+def test_gen_rp2_sum_beyond_the_recursion_limit(capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch, ["gen", "rp2-sum", "--n", "700"])
+    assert code == 0
+    assert "Traceback" not in err
+    assert gio.from_json(out) == rp2_sum_gem(700)
+
+
+def test_family_validation_error_is_exit_1(capsys, monkeypatch):
+    def fail(n):
+        raise generators.FamilyValidationError(f"torus_sum_gem({n}): chi 1 differs from 0")
+
+    monkeypatch.setattr(generators, "torus_sum_gem", fail)
+    code, out, err = run(capsys, monkeypatch, ["gen", "torus-sum", "--n", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: torus_sum_gem(1): chi 1 differs from 0\n"
 
 
 def test_usage_error_exit_code(capsys, monkeypatch):

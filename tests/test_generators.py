@@ -24,6 +24,8 @@ from gemkit.generators import (
     torus_sum_gem,
 )
 
+from helpers import oracle_is_bipartite
+
 EPS3 = CyclicPermutation((0, 1, 2))
 EPS4 = CyclicPermutation((0, 1, 2, 3))
 
@@ -122,7 +124,8 @@ def test_nonbipartite_attempt_rejects_odd_position():
         lens_nonbipartite_attempt(2, 2, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+# n = 700 is deeper than a recursive matching search can go.
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 700])
 def test_rp2_sum_family(n):
     g = rp2_sum_gem(n)
     size = 2 * n + 2
@@ -160,15 +163,29 @@ def test_surface_family_parameter_checks():
         torus_sum_gem(0)
 
 
-@pytest.mark.parametrize("want_bipartite, kind", [(True, "bipartite"), (False, "non-bipartite")])
-def test_surface_sum_matching_reports_a_failed_search(monkeypatch, want_bipartite, kind):
-    monkeypatch.setattr(search, "_matching_dfs", lambda *args, **kwargs: ([], True))
-    with pytest.raises(FamilyValidationError, match=f"no {kind} Hamiltonian matching"):
-        generators._surface_sum_matching(10, want_bipartite)
+def _first_surface_sum_matching(size, want_bipartite):
+    """Third matching of the matching DFS's first hit on the base cycle.
+
+    The hit makes the color pairs {0,2} and {1,2} Hamiltonian on the cycle
+    0,1,...,size-1 of colors 0 and 1 and has the requested bipartiteness;
+    with ``bipartite=True`` the DFS's parity cut starts from the two fixed
+    matchings.
+    """
+    ham = frozenset((size,))
+    hits, _ = search._matching_dfs(
+        size,
+        3,
+        list(generators._base_cycle(size)),
+        {(0, 2): ham, (1, 2): ham},
+        lambda g: oracle_is_bipartite(g) == want_bipartite,
+        bipartite=want_bipartite,
+        limit=1,
+    )
+    return list(hits[0].matchings[2])
 
 
-# The torus fallback's first matching for n = 1..3, as found before the
-# search cut odd cycles.
+# The first bipartite hit for n = 1..3 (the search torus_sum_gem once kept
+# as a fallback), as found before the search cut odd cycles.
 PINNED_TORUS_FALLBACK = {
     1: [3, 4, 5, 0, 1, 2],
     2: [3, 4, 7, 0, 1, 8, 9, 2, 5, 6],
@@ -178,16 +195,28 @@ PINNED_TORUS_FALLBACK = {
 
 @pytest.mark.parametrize("n", sorted(PINNED_TORUS_FALLBACK))
 def test_torus_fallback_matching_pinned(n):
-    assert generators._surface_sum_matching(4 * n + 2, True) == PINNED_TORUS_FALLBACK[n]
+    assert _first_surface_sum_matching(4 * n + 2, True) == PINNED_TORUS_FALLBACK[n]
 
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_torus_fallback_matching_validates(n):
     size = 4 * n + 2
-    m0, m1 = generators._base_cycle(size)
-    m2 = generators._surface_sum_matching(size, True)
-    g = ColoredGraph([m0, m1, m2])
-    assert generators._validated_torus_sum(g, n, f"torus_sum_gem({n})") is g
+    g = ColoredGraph([*generators._base_cycle(size), _first_surface_sum_matching(size, True)])
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        assert residue_count(g, pair) == 1
+    generators._expect_surface(g, f"torus_sum_gem({n})", size, True, 2 - 2 * n, (size,) * 3)
+
+
+def test_rp2_sum_closed_form_is_the_first_non_bipartite_hit():
+    for n in [1, *range(3, 61)]:
+        assert list(rp2_sum_gem(n).matchings[2]) == _first_surface_sum_matching(2 * n + 2, False)
+
+
+def test_expect_surface_names_the_family_on_a_wrong_orientability():
+    g = torus_sum_gem(1)
+    generators._expect_surface(g, "torus", 6, True, 0, (6, 6, 6))
+    with pytest.raises(FamilyValidationError, match=r"^torus: orientability mismatch"):
+        generators._expect_surface(g, "torus", 6, False, 0, (6, 6, 6))
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
