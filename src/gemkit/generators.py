@@ -304,9 +304,11 @@ def rp2_sum_gem(n: int) -> ColoredGraph:
     type is ((2n+2)^3) and the embedding surface has Euler characteristic
     2-n.  On the base cycle 0,1,...,2n+1 the third matching is
     (0 2), (1 4), (3 6), ..., (2t-1 2t+2), ..., (2n-1 2n+1); the edge (0 2)
-    closes an odd cycle.  It is the first non-bipartite hit of the matching
-    DFS on the base cycle (the tests check this for n <= 60).  For n = 2 a
-    fixed known matching is used since the order is not forced there.
+    closes an odd cycle.  It is the lexicographically least third matching
+    that makes the pairs {0,2} and {1,2} Hamiltonian and the gem
+    non-bipartite (the tests check this by brute force for n = 1, 3, 4
+    and 5).  For n = 2 a fixed known matching is used since the order is
+    not forced there.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -716,8 +718,9 @@ def catalog(name: str, p: Optional[int] = None) -> ColoredGraph:
     if p is not None and not entry.parametric:
         raise ValueError(f"catalog entry {name!r} takes no parameter")
 
+    param = _DEFAULT_P.get(name) if p is None else p
+
     def build() -> ColoredGraph:
-        param = _DEFAULT_P.get(name) if p is None else p
         g = _build_catalog_gem(entry, param)
         _expect_surface(
             g,
@@ -729,4 +732,4 @@ def catalog(name: str, p: Optional[int] = None) -> ColoredGraph:
         )
         return g
 
-    return _cached(("catalog", name, p), build)
+    return _cached(("catalog", name, param), build)

@@ -8,19 +8,22 @@ exactly over the rationals for vertex-uniform embedding types with even
 face lengths of at least 4, reporting the one-parameter family that
 appears for positive Euler characteristic symbolically.
 
-The graph search fixes the first matching to (0 1)(2 3)... (sound up to
-relabeling), builds the remaining matchings depth first, and propagates
-bicolored-cycle-length constraints as paths merge, so most of the space is
-never visited.  A ``vertex_types`` spec is propagated too: each cycle of a
-cyclically consecutive color pair adds its length to a count at every
-vertex on it when it closes, and a vertex holding more cycles of one length
-than the multiset allows cuts the branch.  A bipartite-only spec keeps a
-parity union-find over the vertices, and an edge that would close an odd
-cycle cuts the branch.  Only branches whose leaves would all fail the leaf
-filter are cut, so the hits and their order are those of checking vertex
-types and bipartiteness at the leaves alone.  Results are deduplicated by
-exact canonical forms under color permutation; an empty result therefore
-means a completed search, never a truncated one.
+The graph search has one configuration, read from its ``SearchSpec``: it
+fixes color 0 to (0 1)(2 3)... (sound up to relabeling), builds the
+remaining matchings depth first, and propagates bicolored-cycle-length
+constraints as paths merge, so most of the space is never visited.  Color 1
+skips blocks that are interchangeable so far and pins the edge (1 2) when
+bigons of colors 0 and 1 are excluded.  A ``vertex_types`` spec is
+propagated too: each cycle of a cyclically consecutive color pair adds its
+length to a count at every vertex on it when it closes, and a vertex
+holding more cycles of one length than the multiset allows cuts the
+branch.  A bipartite-only spec keeps a parity union-find over the vertices,
+and an edge that would close an odd cycle cuts the branch.  Only branches
+whose leaves would all fail the leaf filter are cut, so the hits and their
+order are those of checking vertex types and bipartiteness at the leaves
+alone.  Results are deduplicated by exact canonical forms under color
+permutation; an empty result therefore means a completed search, never a
+truncated one.
 """
 
 from __future__ import annotations
@@ -315,67 +318,56 @@ def _allowed_map(spec: SearchSpec) -> dict[tuple[int, int], Optional[frozenset[i
 
 
 def _matching_dfs(
-    n: int,
-    num_colors: int,
-    fixed: Sequence[Sequence[int]],
-    allowed: Mapping[tuple[int, int], Optional[frozenset[int]]],
+    spec: SearchSpec,
     leaf: Callable[[ColoredGraph], bool],
-    *,
-    vertex_types: Optional[Sequence[int]] = None,
-    bipartite: bool = False,
-    pin_edge: Optional[tuple[int, int]] = None,
-    break_block_symmetry: bool = False,
     limit: Optional[int] = None,
 ) -> tuple[list[ColoredGraph], bool]:
-    """Enumerate colored graphs extending the fixed matchings.
+    """Enumerate the colored graphs of ``spec`` that ``leaf`` accepts.
 
-    Free matchings are built in ascending color then vertex order; a cycle
-    that closes at a forbidden length, or a path already too long to close
-    at an allowed one, prunes the branch.  ``pin_edge`` forces one edge of
-    the first free matching (a sound symmetry breaker whenever parallels
-    with color 0 are excluded there).
+    Color 0 is the standard matching (2t, 2t+1); the free matchings are
+    built in ascending color then vertex order.  A cycle that closes at a
+    length ``_allowed_map(spec)`` forbids, or a path already too long to
+    close at an allowed one, prunes the branch.  When pair (0, 1) excludes
+    bigons, the edge (1 2) of color 1 is pinned: vertex 1 needs a partner
+    outside its block, and relabeling makes it 2.  While color 1 grows,
+    blocks it has not touched yet are interchangeable and swappable
+    internally, so a partner from them is only tried in the lowest such
+    block, at its even vertex.  Labeled duplicates disappear; every
+    isomorphism class keeps a representative.
 
-    With ``vertex_types`` (the leaf filter's per-vertex face multiset over
-    the cyclically consecutive color pairs), every cycle of such a pair
-    that the search closes adds its length to a count at each of its
+    With ``spec.vertex_types`` (the leaf filter's per-vertex face multiset
+    over the cyclically consecutive color pairs), every cycle of such a
+    pair that the search closes adds its length to a count at each of its
     vertices, and a branch is cut once some vertex lies on more cycles of
     one length than the multiset holds: every leaf below it would fail the
-    leaf filter.  Cycles of the fixed matchings are left uncounted, which
-    only prunes less.
+    leaf filter.
 
-    With ``bipartite`` (the leaf filter accepts bipartite graphs only), a
-    parity union-find over the vertices, seeded from the fixed matchings,
-    records which side of the bipartition each vertex takes relative to its
-    root.  An edge whose ends already lie on one side closes an odd cycle,
-    so every leaf below it would fail the leaf filter and the branch is cut;
-    any other edge joins the two sides and is unjoined on backtrack.  Union
-    by size without path compression keeps each undo to two entries.  Fixed
-    matchings that already close an odd cycle leave the search complete and
-    empty.
+    With ``spec.bipartite == "only"``, a parity union-find over the
+    vertices, seeded from color 0, records which side of the bipartition
+    each vertex takes relative to its root.  An edge whose ends already lie
+    on one side closes an odd cycle, so every leaf below it would fail the
+    leaf filter and the branch is cut; any other edge joins the two sides
+    and is unjoined on backtrack.  Union by size without path compression
+    keeps each undo to two entries.
 
-    ``break_block_symmetry`` may be set when the only fixed matching is the
-    standard one (2t, 2t+1): while the first free matching grows, blocks it
-    has not touched yet are interchangeable and swappable internally, so a
-    partner from them is only tried in the lowest such block, at its even
-    vertex.  Labeled duplicates disappear; every isomorphism class keeps a
-    representative.  Returns the surviving graphs and whether the space was
-    fully explored.  A pair allowed no length at all has no gem: the search
-    is complete and empty.
+    Returns the surviving graphs and whether the space was fully explored
+    (``limit`` stops it after that many hits).  A pair allowed no length at
+    all has no gem: the search is complete and empty.
     """
+    n, num_colors = spec.order, spec.colors
+    allowed = _allowed_map(spec)
     if any(lens is not None and not lens for lens in allowed.values()):
         return [], True
-    mats: list[list[int]] = [list(m) for m in fixed]
-    for (j, c), lens in allowed.items():
-        if lens is None or c >= len(fixed):
-            continue
-        if not set(bicolored_cycle_lengths(mats[j], mats[c])) <= lens:
-            return [], True
+    mats: list[list[int]] = [list(_standard_matching(n))]
+    bipartite = spec.bipartite == "only"
+    a01 = allowed[(0, 1)]
+    pin_edge = (1, 2) if a01 is not None and 2 not in a01 else None
 
     # seen[v][f] counts the cycles of length f through v that the search
     # closed in tracked pairs; cap[f] is how many the vertex type allows.
-    tracked = set(_consecutive_pairs(num_colors)) if vertex_types is not None else set()
+    tracked = set(_consecutive_pairs(num_colors)) if spec.vertex_types is not None else set()
     cap = [0] * (n + 1)
-    for f in vertex_types or ():
+    for f in spec.vertex_types or ():
         if f <= n:
             cap[f] += 1
     seen = [[0] * (n + 1) for _ in range(n)]
@@ -416,10 +408,8 @@ def _matching_dfs(
             up[r] = r
 
     if bipartite:
-        for mf in mats:
-            for u, v in enumerate(mf):
-                if u < v and join(u, v) is None:
-                    return [], True
+        for t in range(0, n, 2):
+            join(t, t + 1)
 
     def uncount(counted: Sequence[tuple[list[int], int]]) -> None:
         for cycle, f in counted:
@@ -427,7 +417,6 @@ def _matching_dfs(
                 seen[y][f] -= 1
 
     hits: list[ColoredGraph] = []
-    free_start = len(fixed)
     stop = False
 
     def build_color(c: int) -> None:
@@ -452,7 +441,7 @@ def _matching_dfs(
                 states.append((list(mj), [1] * n, lens, max(lens)))
                 if track:
                     tracks.append((states[-1][0], mj))
-        block_rule = break_block_symmetry and c == free_start
+        block_rule = c == 1
 
         def count_closed(u: int, v: int) -> Optional[list[tuple[list[int], int]]]:
             """Count the tracked cycles that edge uv closes; None on overflow."""
@@ -551,13 +540,13 @@ def _matching_dfs(
                     if stop:
                         return
 
-        if c == free_start and pin_edge is not None:
+        if c == 1 and pin_edge is not None:
             attempt(pin_edge[0], pin_edge[1], place)
         else:
             place()
         mats.pop()
 
-    build_color(free_start)
+    build_color(1)
     return hits, not stop
 
 
@@ -604,24 +593,9 @@ def _verify_hit(
 def _run_search(
     spec: SearchSpec, limit: Optional[int] = None
 ) -> tuple[list[ColoredGraph], bool]:
-    allowed = _allowed_map(spec)
     leaf = _leaf_filter(spec)
-    pin: Optional[tuple[int, int]] = None
-    a01 = allowed.get((0, 1))
-    if a01 is not None and 2 not in a01:
-        pin = (1, 2)
-    hits, exhaustive = _matching_dfs(
-        spec.order,
-        spec.colors,
-        [_standard_matching(spec.order)],
-        allowed,
-        leaf,
-        vertex_types=spec.vertex_types,
-        bipartite=spec.bipartite == "only",
-        pin_edge=pin,
-        break_block_symmetry=True,
-        limit=limit,
-    )
+    hits, exhaustive = _matching_dfs(spec, leaf, limit)
+    allowed = _allowed_map(spec)
     for g in hits:
         if not _verify_hit(g, allowed, leaf):  # pragma: no cover - engine soundness net
             raise AssertionError("search produced a graph violating its spec")
@@ -640,11 +614,9 @@ def _dedup_canonical(hits: Iterable[ColoredGraph]) -> list[ColoredGraph]:
 DEFAULT_ORDER_BUDGET = 24
 
 
-def _check_budget(spec: SearchSpec, max_order: int) -> None:
-    if spec.order > max_order:
-        raise BudgetExceededError(
-            f"order {spec.order} exceeds the search budget {max_order}"
-        )
+def _check_budget(order: int, budget: int) -> None:
+    if order > budget:
+        raise BudgetExceededError(f"order {order} exceeds the search budget {budget}")
 
 
 def find_gems(spec: SearchSpec, max_order: int = DEFAULT_ORDER_BUDGET) -> list[ColoredGraph]:
@@ -655,7 +627,7 @@ def find_gems(spec: SearchSpec, max_order: int = DEFAULT_ORDER_BUDGET) -> list[C
     such gem exists at this order.  Raises when the order exceeds the
     budget instead of silently truncating.
     """
-    _check_budget(spec, max_order)
+    _check_budget(spec.order, max_order)
     hits, _ = _run_search(spec)
     return _dedup_canonical(hits)
 
@@ -664,7 +636,7 @@ def first_gem(
     spec: SearchSpec, max_order: int = DEFAULT_ORDER_BUDGET
 ) -> Optional[ColoredGraph]:
     """First graph of the deterministic search order, or None."""
-    _check_budget(spec, max_order)
+    _check_budget(spec.order, max_order)
     hits, _ = _run_search(spec, limit=1)
     return hits[0] if hits else None
 
@@ -705,7 +677,7 @@ def search_report(
     limit: Optional[int] = None,
 ) -> SearchReport:
     """Run a search and package the outcome for serialization."""
-    _check_budget(spec, max_order)
+    _check_budget(spec.order, max_order)
     hits, exhaustive = _run_search(spec, limit=limit)
     return SearchReport(spec, exhaustive, tuple(_dedup_canonical(hits)))
 
@@ -821,10 +793,7 @@ def classify_4_4(order_max: int = 8, order_budget: int = 16) -> Classify44Report
     """
     from . import generators  # deferred: generators also consumes this module
 
-    if order_max > order_budget:
-        raise BudgetExceededError(
-            f"order_max {order_max} exceeds the classification budget {order_budget}"
-        )
+    _check_budget(order_max, order_budget)
     raw: list[ColoredGraph] = []
     exhaustive = True
     for order in range(4, order_max + 1, 4):

@@ -10,7 +10,7 @@ from gemkit.embedding import (
     semi_equivelar_type,
 )
 from gemkit.complexes import homology, manifold_check, sphere_profile
-from gemkit import generators, search
+from gemkit import generators
 from gemkit.generators import (
     FamilyValidationError,
     catalog,
@@ -24,7 +24,7 @@ from gemkit.generators import (
     torus_sum_gem,
 )
 
-from helpers import oracle_is_bipartite
+from helpers import all_perfect_matchings, oracle_component_count, oracle_is_bipartite
 
 EPS3 = CyclicPermutation((0, 1, 2))
 EPS4 = CyclicPermutation((0, 1, 2, 3))
@@ -163,53 +163,24 @@ def test_surface_family_parameter_checks():
         torus_sum_gem(0)
 
 
-def _first_surface_sum_matching(size, want_bipartite):
-    """Third matching of the matching DFS's first hit on the base cycle.
-
-    The hit makes the color pairs {0,2} and {1,2} Hamiltonian on the cycle
-    0,1,...,size-1 of colors 0 and 1 and has the requested bipartiteness;
-    with ``bipartite=True`` the DFS's parity cut starts from the two fixed
-    matchings.
-    """
-    ham = frozenset((size,))
-    hits, _ = search._matching_dfs(
-        size,
-        3,
-        list(generators._base_cycle(size)),
-        {(0, 2): ham, (1, 2): ham},
-        lambda g: oracle_is_bipartite(g) == want_bipartite,
-        bipartite=want_bipartite,
-        limit=1,
-    )
-    return list(hits[0].matchings[2])
-
-
-# The first bipartite hit for n = 1..3 (the search torus_sum_gem once kept
-# as a fallback), as found before the search cut odd cycles.
-PINNED_TORUS_FALLBACK = {
-    1: [3, 4, 5, 0, 1, 2],
-    2: [3, 4, 7, 0, 1, 8, 9, 2, 5, 6],
-    3: [3, 4, 7, 0, 1, 8, 11, 2, 5, 12, 13, 6, 9, 10],
-}
-
-
-@pytest.mark.parametrize("n", sorted(PINNED_TORUS_FALLBACK))
-def test_torus_fallback_matching_pinned(n):
-    assert _first_surface_sum_matching(4 * n + 2, True) == PINNED_TORUS_FALLBACK[n]
-
-
-@pytest.mark.parametrize("n", range(4, 11))
-def test_torus_fallback_matching_validates(n):
-    size = 4 * n + 2
-    g = ColoredGraph([*generators._base_cycle(size), _first_surface_sum_matching(size, True)])
-    for pair in ((0, 1), (0, 2), (1, 2)):
-        assert residue_count(g, pair) == 1
-    generators._expect_surface(g, f"torus_sum_gem({n})", size, True, 2 - 2 * n, (size,) * 3)
-
-
 def test_rp2_sum_closed_form_is_the_first_non_bipartite_hit():
-    for n in [1, *range(3, 61)]:
-        assert list(rp2_sum_gem(n).matchings[2]) == _first_surface_sum_matching(2 * n + 2, False)
+    # A hit is a third matching on the base cycle that makes the pairs
+    # {0,2} and {1,2} Hamiltonian and the gem non-bipartite; the closed form
+    # is the lexicographically first one.  Brute force over every matching,
+    # with components and bipartiteness from the independent test oracles.
+    for n in (1, 3, 4, 5):
+        size = 2 * n + 2
+        base = generators._base_cycle(size)
+        hits = []
+        for m2 in all_perfect_matchings(size):
+            g = ColoredGraph([*base, m2])
+            if (
+                oracle_component_count(g, (0, 2)) == 1
+                and oracle_component_count(g, (1, 2)) == 1
+                and not oracle_is_bipartite(g)
+            ):
+                hits.append(m2)
+        assert list(rp2_sum_gem(n).matchings[2]) == min(hits)
 
 
 def test_expect_surface_names_the_family_on_a_wrong_orientability():
@@ -291,6 +262,11 @@ def test_catalog_sphere_parametric():
     assert euler_characteristic(g, EPS3) == 2
     assert is_bipartite(g)
     assert semi_equivelar_type(g, EPS3) == TypeSignature.from_tuple((4, 4, 6))
+
+
+@pytest.mark.parametrize("name,default", [("rp2-4.4.2p", 4), ("s2-4.4.p", 6)])
+def test_catalog_default_parameter_shares_the_cache_entry(name, default):
+    assert catalog(name) is catalog(name, p=default)
 
 
 def test_catalog_sphere_hexagon_square():

@@ -276,10 +276,8 @@ def test_search_hit_lists_pinned(spec, count, digest):
     assert hashlib.sha256(raw).hexdigest() == digest
 
 
-def test_vertex_types_prune_inside_the_dfs():
-    # (4,6,12)/12: without the per-vertex cycle counts 5,816 leaves reach
-    # the leaf filter; with them every leaf reached is a hit.
-    spec = SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12))
+def _counted_dfs(spec):
+    """Run the DFS of ``spec``; return its hits and every leaf it reached."""
     leaf = search._leaf_filter(spec)
     reached = []
 
@@ -287,67 +285,38 @@ def test_vertex_types_prune_inside_the_dfs():
         reached.append(g)
         return leaf(g)
 
-    hits, exhaustive = search._matching_dfs(
-        spec.order,
-        spec.colors,
-        [search._standard_matching(spec.order)],
-        search._allowed_map(spec),
-        counting_leaf,
-        vertex_types=spec.vertex_types,
-        pin_edge=(1, 2),
-        break_block_symmetry=True,
-    )
+    hits, exhaustive = search._matching_dfs(spec, counting_leaf)
     assert exhaustive
+    return hits, reached
+
+
+def test_vertex_types_prune_inside_the_dfs():
+    # (4,6,12)/12: the per-vertex cycle counts cut every branch whose
+    # leaves would fail the vertex-type check (5,816 leaves reach the leaf
+    # filter without them), so every leaf reached is a hit.
+    hits, reached = _counted_dfs(SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12)))
     assert len(hits) == len(reached) == 546
 
 
 def test_bipartite_prunes_inside_the_dfs():
-    # (4,8,8)/16 bipartite: without the parity union-find 7,900 leaves reach
-    # the leaf filter, 6,624 of them not bipartite; with it 1,276, all
-    # bipartite, and the same hits in the same order.
-    spec = SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite="only")
-    leaf = search._leaf_filter(spec)
-    runs = {}
-    for flag in (False, True):
-        reached = []
-
-        def counting_leaf(g):
-            reached.append(g)
-            return leaf(g)
-
-        hits, exhaustive = search._matching_dfs(
-            spec.order,
-            spec.colors,
-            [search._standard_matching(spec.order)],
-            search._allowed_map(spec),
-            counting_leaf,
-            vertex_types=spec.vertex_types,
-            bipartite=flag,
-            pin_edge=(1, 2),
-            break_block_symmetry=True,
+    # (4,8,8)/16: the "any" spec has no parity cut, and 7,900 leaves reach
+    # the leaf filter, 6,624 of them not bipartite; the "only" spec cuts
+    # odd cycles, reaches 1,276 leaves, all bipartite, and hits exactly the
+    # bipartite hits of "any", in the same order.
+    runs = {
+        mode: _counted_dfs(
+            SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite=mode)
         )
-        assert exhaustive
-        runs[flag] = (hits, reached)
-    (plain, plain_reached), (cut, cut_reached) = runs[False], runs[True]
-    assert [g.matchings for g in cut] == [g.matchings for g in plain]
-    assert len(cut) == 1200
-    assert len(plain_reached) == 7900 and len(cut_reached) == 1276
-    assert not all(oracle_is_bipartite(g) for g in plain_reached)
+        for mode in ("any", "only")
+    }
+    (plain, plain_reached), (cut, cut_reached) = runs["any"], runs["only"]
+    assert len(plain_reached) == 7900
+    assert sum(not oracle_is_bipartite(g) for g in plain_reached) == 6624
+    assert len(cut_reached) == 1276
     assert all(oracle_is_bipartite(g) for g in cut_reached)
-
-
-def test_fixed_matchings_with_an_odd_cycle_leave_no_bipartite_gem():
-    # Edges 0-1, 1-2 and 2-0 of colors 0, 1 and 2 form a triangle.
-    from gemkit.core import ColoredGraph
-
-    fixed = [[1, 0, 3, 2, 5, 4], [4, 2, 1, 5, 0, 3], [2, 5, 0, 4, 3, 1]]
-    assert not oracle_is_bipartite(ColoredGraph(fixed))
-    for flag, want in ((True, []), (False, [tuple(map(tuple, fixed))])):
-        hits, exhaustive = search._matching_dfs(
-            6, 3, fixed, {}, lambda g: True, bipartite=flag
-        )
-        assert exhaustive
-        assert [g.matchings for g in hits] == want
+    want = [g.matchings for g in plain if oracle_is_bipartite(g)]
+    assert [g.matchings for g in cut] == want
+    assert len(cut) == 1200
 
 
 def test_order_24_bipartite_4_6_12_search_finds_a_torus():
@@ -444,7 +413,7 @@ def test_search_reverification_of_constraints():
 
 def test_search_budget():
     spec = SearchSpec(colors=3, order=26)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^order 26 exceeds the search budget 24$"):
         find_gems(spec)
     with pytest.raises(BudgetExceededError):
         first_gem(spec)
@@ -526,7 +495,7 @@ def test_classify_monotone_in_order():
 
 
 def test_classify_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^order 20 exceeds the search budget 16$"):
         classify_4_4(20)
 
 
