@@ -47,14 +47,7 @@ class CyclicPermutation:
     @classmethod
     def from_sequence(cls, seq: Iterable[int]) -> "CyclicPermutation":
         """Canonicalize an arbitrary cyclic arrangement."""
-        t = tuple(seq)
-        if 0 not in t:
-            raise ValueError("arrangement must contain color 0")
-        i = t.index(0)
-        rot = t[i:] + t[:i]
-        if len(rot) > 2 and rot[1] > rot[-1]:
-            rot = (rot[0],) + tuple(reversed(rot[1:]))
-        return cls(rot)
+        return cls(_canonical_cyclic(tuple(seq)))
 
     def __iter__(self):
         return iter(self.order)
@@ -139,7 +132,7 @@ class TypeSignature:
         return 2 in self.faces
 
     def __str__(self) -> str:
-        return "(" + ",".join(f"{q}^{k}" for q, k in self.condensed) + ")"
+        return condensed_str(self.condensed)
 
 
 def condensed_str(runs: Iterable[tuple[object, int]]) -> str:

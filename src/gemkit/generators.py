@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ColoredGraph, is_bipartite, is_contracted, residue_count
+from .core import ColoredGraph, component_index, is_bipartite, is_contracted, residue_count
 from .embedding import (
     CyclicPermutation,
     TypeSignature,
@@ -522,31 +522,6 @@ def _gf2_nullspace(rows: list[int], width: int) -> list[int]:
     return basis
 
 
-def _bicolored_cycle_edge_sets(g: ColoredGraph) -> list[list[tuple[int, int, int]]]:
-    """Edge lists of every bicolored cycle, edges as (min, max, color)."""
-    out = []
-    for a in g.colors:
-        for b in range(a + 1, g.dimension + 1):
-            ma, mb = g.matchings[a], g.matchings[b]
-            seen = [False] * g.vertex_count
-            for start in range(g.vertex_count):
-                if seen[start]:
-                    continue
-                edges = []
-                v, color_now = start, a
-                while True:
-                    seen[v] = True
-                    m = ma if color_now == a else mb
-                    w = m[v]
-                    edges.append((min(v, w), max(v, w), color_now))
-                    v = w
-                    color_now = b if color_now == a else a
-                    if v == start and color_now == a:
-                        break
-                out.append(edges)
-    return out
-
-
 def _face_trivial_double_cover(g: ColoredGraph, want_bipartite: bool) -> ColoredGraph:
     """Connected double cover on which every bicolored cycle keeps its length.
 
@@ -557,13 +532,15 @@ def _face_trivial_double_cover(g: ColoredGraph, want_bipartite: bool) -> Colored
     """
     n = g.vertex_count
     edges = list(g.edges())
-    index = {e: i for i, e in enumerate(edges)}
     rows = []
-    for cycle in _bicolored_cycle_edge_sets(g):
-        row = 0
-        for e in cycle:
-            row ^= 1 << index[e]
-        rows.append(row)
+    for pair in itertools.combinations(g.colors, 2):
+        # one row per bicolored cycle, in order of its least vertex
+        idx, count = component_index(g, pair)
+        cycle_rows = [0] * count
+        for i, (u, _, c) in enumerate(edges):
+            if c in pair:
+                cycle_rows[idx[u]] ^= 1 << i
+        rows += cycle_rows
     basis = _gf2_nullspace(rows, len(edges))
 
     def cover_for(alpha: int) -> ColoredGraph:

@@ -9,21 +9,22 @@ face lengths of at least 4, reporting the one-parameter family that
 appears for positive Euler characteristic symbolically.
 
 The graph search has one configuration, read from its ``SearchSpec``: it
-fixes color 0 to (0 1)(2 3)... (sound up to relabeling), builds the
-remaining matchings depth first, and propagates bicolored-cycle-length
-constraints as paths merge, so most of the space is never visited.  Color 1
-skips blocks that are interchangeable so far and pins the edge (1 2) when
-bigons of colors 0 and 1 are excluded.  A ``vertex_types`` spec is
-propagated too: each cycle of a cyclically consecutive color pair adds its
-length to a count at every vertex on it when it closes, and a vertex
-holding more cycles of one length than the multiset allows cuts the
-branch.  A bipartite-only spec keeps a parity union-find over the vertices,
-and an edge that would close an odd cycle cuts the branch.  Only branches
-whose leaves would all fail the leaf filter are cut, so the hits and their
-order are those of checking vertex types and bipartiteness at the leaves
-alone.  Results are deduplicated by exact canonical forms under color
-permutation; an empty result therefore means a completed search, never a
-truncated one.
+fixes color 0 to (0 1)(2 3)... (sound up to relabeling) and builds the
+remaining matchings depth first in one loop over its own stack of frames,
+so neither the recursion limit nor the caller's stack depth bears on it.
+Bicolored-cycle-length constraints propagate as paths merge, so most of the
+space is never visited.  Color 1 skips blocks that are interchangeable so
+far and pins the edge (1 2) when bigons of colors 0 and 1 are excluded.  A
+``vertex_types`` spec is propagated too: each cycle of a cyclically
+consecutive color pair adds its length to a count at every vertex on it
+when it closes, and a vertex holding more cycles of one length than the
+multiset allows cuts the branch.  A bipartite-only spec keeps a parity
+union-find over the vertices, and an edge that would close an odd cycle
+cuts the branch.  Only branches whose leaves would all fail the leaf filter
+are cut, so the hits and their order are those of checking vertex types and
+bipartiteness at the leaves alone.  Results are deduplicated by exact
+canonical forms under color permutation; an empty result therefore means a
+completed search, never a truncated one.
 """
 
 from __future__ import annotations
@@ -218,6 +219,8 @@ class SearchSpec:
                 a, b = sorted(pair)
                 if not 0 <= a < b < self.colors:
                     raise ValueError(f"bad color pair {pair!r}")
+                if any(p == (a, b) for p, _ in norm):
+                    raise ValueError(f"color pair {a}{b} is given twice")
                 ls = tuple(sorted(set(lengths)))
                 for f in ls:
                     if f < 2 or f % 2:
@@ -325,12 +328,22 @@ def _matching_dfs(
     """Enumerate the colored graphs of ``spec`` that ``leaf`` accepts.
 
     Color 0 is the standard matching (2t, 2t+1); the free matchings are
-    built in ascending color then vertex order.  A cycle that closes at a
-    length ``_allowed_map(spec)`` forbids, or a path already too long to
-    close at an allowed one, prunes the branch.  When pair (0, 1) excludes
-    bigons, the edge (1 2) of color 1 is pinned: vertex 1 needs a partner
-    outside its block, and relabeling makes it 2.  While color 1 grows,
-    blocks it has not touched yet are interchangeable and swappable
+    built in ascending color then vertex order by one loop over its own
+    stack of frames, so the search takes no Python frame per level.  A
+    frame matches one vertex ``u``: it holds the partner tried last, the
+    last partner allowed, the block rule's lowest untouched block (color 1
+    only), its color's state and the undo record of the edge it has in
+    place (merged path ends, counted cycles, hung parity root).  Re-entering
+    a frame undoes that edge and scans the remaining partners; placing an
+    edge pushes a frame for the next free vertex, opens the next color, or
+    at the last color tests the leaf.
+
+    A cycle that closes at a length ``_allowed_map(spec)`` forbids, or a
+    path already too long to close at an allowed one, prunes the branch.
+    When pair (0, 1) excludes bigons, color 1 starts from a frame for vertex
+    1 whose last partner is 2, pinning the edge (1 2): vertex 1 needs a
+    partner outside its block, and relabeling makes it 2.  While color 1
+    grows, blocks it has not touched yet are interchangeable and swappable
     internally, so a partner from them is only tried in the lowest such
     block, at its even vertex.  Labeled duplicates disappear; every
     isomorphism class keeps a representative.
@@ -360,8 +373,6 @@ def _matching_dfs(
         return [], True
     mats: list[list[int]] = [list(_standard_matching(n))]
     bipartite = spec.bipartite == "only"
-    a01 = allowed[(0, 1)]
-    pin_edge = (1, 2) if a01 is not None and 2 not in a01 else None
 
     # seen[v][f] counts the cycles of length f through v that the search
     # closed in tracked pairs; cap[f] is how many the vertex type allows.
@@ -403,151 +414,138 @@ def _matching_dfs(
         return v
 
     def unjoin(r: int) -> None:
-        if r >= 0:
-            size[up[r]] -= size[r]
-            up[r] = r
+        size[up[r]] -= size[r]
+        up[r] = r
 
     if bipartite:
         for t in range(0, n, 2):
             join(t, t + 1)
+
+    def count_closed(u: int, v: int, m: list[int], tracks: list) -> Optional[list]:
+        """Count the tracked cycles that edge uv of m closes; None on overflow."""
+        counted = []
+        over = False
+        for end, mj in tracks:
+            if end[u] != v:
+                continue
+            # the cycle is the path u ... v of colors j and c, plus uv
+            cycle = []
+            w = u
+            while True:
+                x = mj[w]
+                cycle += (w, x)
+                if x == v:
+                    break
+                w = m[x]
+            f = len(cycle)
+            for y in cycle:
+                seen[y][f] += 1
+                over = over or seen[y][f] > cap[f]
+            counted.append((cycle, f))
+        if over:
+            uncount(counted)
+            return None
+        return counted
 
     def uncount(counted: Sequence[tuple[list[int], int]]) -> None:
         for cycle, f in counted:
             for y in cycle:
                 seen[y][f] -= 1
 
-    hits: list[ColoredGraph] = []
-    stop = False
-
-    def build_color(c: int) -> None:
-        nonlocal stop
-        if c == num_colors:
-            g = ColoredGraph([tuple(m) for m in mats])
-            if leaf(g):
-                hits.append(g)
-                if limit is not None and len(hits) >= limit:
-                    stop = True
-            return
+    def open_color(c: int) -> tuple:
+        """Color c's empty matching, its path states and its tracked pairs."""
         m = [-1] * n
-        mats.append(m)
+        mats[c:] = [m]
         states = []
         tracks = []
         for j in range(c):
             lens = allowed.get((j, c))
             track = (j, c) in tracked
             if lens is not None or track:
-                mj = mats[j]
                 lens = everything if lens is None else lens
-                states.append((list(mj), [1] * n, lens, max(lens)))
+                states.append((list(mats[j]), [1] * n, lens, max(lens)))
                 if track:
-                    tracks.append((states[-1][0], mj))
-        block_rule = c == 1
+                    tracks.append((states[-1][0], mats[j]))
+        return c, m, states, tracks
 
-        def count_closed(u: int, v: int) -> Optional[list[tuple[list[int], int]]]:
-            """Count the tracked cycles that edge uv closes; None on overflow."""
-            counted = []
-            over = False
-            for end, mj in tracks:
-                if end[u] != v:
-                    continue
-                # the cycle is the path u ... v of colors j and c, plus uv
-                cycle = []
-                w = u
-                while True:
-                    x = mj[w]
-                    cycle += (w, x)
-                    if x == v:
-                        break
-                    w = m[x]
-                f = len(cycle)
-                for y in cycle:
-                    seen[y][f] += 1
-                    over = over or seen[y][f] > cap[f]
-                counted.append((cycle, f))
-            if over:
+    frames: list[tuple] = []
+
+    def push(u: int, last: int, color: tuple) -> None:
+        """Stack a frame that tries the partners of u up to ``last``."""
+        low, own, m = -1, u & ~1, color[1]
+        if color[0] == 1:
+            for base in range(0, n, 2):
+                if base != own and m[base] < 0 and m[base + 1] < 0:
+                    low = base
+                    break
+        frames.append((u, u, last, low, color, (), (), -1))
+
+    a01 = allowed[(0, 1)]
+    push(*((1, 2) if a01 is not None and 2 not in a01 else (0, n - 1)), open_color(1))
+    hits: list[ColoredGraph] = []
+    while frames:
+        u, v, last, low, color, merged, counted, hung = frames[-1]
+        c, m, states, tracks = color
+        if m[u] >= 0:  # undo the edge uv this frame placed
+            for end, plen, a, b in merged:
+                end[a], end[b] = u, v
+                plen[a], plen[b] = plen[u], plen[v]
+            m[u] = m[v] = -1
+            if counted:
                 uncount(counted)
-                return None
-            return counted
-
-        def try_edge(u: int, v: int, cont: Callable[[], None]) -> None:
+            if hung >= 0:
+                unjoin(hung)
+        own = u & ~1
+        for v in range(v + 1, last + 1):
+            if m[v] >= 0:
+                continue
+            if c == 1:
+                base = v & ~1
+                if base != own and m[base] < 0 and m[base ^ 1] < 0:
+                    if base != low or v != base:
+                        continue
             closes = False
             for end, plen, lens, maxlen in states:
                 if end[u] == v:
                     if plen[u] + 1 not in lens:
-                        return
+                        break
                     closes = True
                 elif plen[u] + plen[v] + 2 > maxlen:
-                    return
-            counted = count_closed(u, v) if closes and tracks else ()
-            if counted is None:
-                return
-            m[u] = v
-            m[v] = u
-            merged = []
-            for end, plen, lens, maxlen in states:
-                if end[u] != v:
-                    a, b = end[u], end[v]
-                    end[a] = b
-                    end[b] = a
-                    plen[a] = plen[b] = plen[u] + plen[v] + 1
-                    merged.append((end, plen, a, b))
-            cont()
-            for end, plen, a, b in merged:
-                end[a] = u
-                end[b] = v
-                plen[a] = plen[u]
-                plen[b] = plen[v]
-            m[u] = -1
-            m[v] = -1
-            if counted:
-                uncount(counted)
-
-        def try_joined(u: int, v: int, cont: Callable[[], None]) -> None:
-            hung = join(u, v)
-            if hung is not None:
-                try_edge(u, v, cont)
-                unjoin(hung)
-
-        # Chosen once here, so a search without the parity cut pays nothing.
-        attempt = try_joined if bipartite else try_edge
-
-        def place() -> None:
-            if stop:
-                return
-            u = -1
-            for w in range(n):
-                if m[w] < 0:
-                    u = w
                     break
-            if u < 0:
-                build_color(c + 1)
-                return
-            first_untouched = -1
-            if block_rule:
-                own = u & ~1
-                for base in range(0, n, 2):
-                    if base != own and m[base] < 0 and m[base + 1] < 0:
-                        first_untouched = base
-                        break
-            for v in range(u + 1, n):
-                if m[v] < 0:
-                    if block_rule:
-                        base = v & ~1
-                        if base != (u & ~1) and m[base] < 0 and m[base ^ 1] < 0:
-                            if base != first_untouched or v != base:
-                                continue
-                    attempt(u, v, place)
-                    if stop:
-                        return
-
-        if c == 1 and pin_edge is not None:
-            attempt(pin_edge[0], pin_edge[1], place)
+            else:  # no path cut: try the parity and vertex-type cuts
+                hung = -1
+                if bipartite:
+                    hung = join(u, v)
+                    if hung is None:
+                        continue
+                counted = count_closed(u, v, m, tracks) if closes and tracks else ()
+                if counted is not None:
+                    break  # uv passes every cut
+                if hung >= 0:
+                    unjoin(hung)
         else:
-            place()
-        mats.pop()
-
-    build_color(1)
-    return hits, not stop
+            frames.pop()
+            continue
+        m[u], m[v] = v, u
+        merged = []
+        for end, plen, lens, maxlen in states:
+            if end[u] != v:
+                a, b = end[u], end[v]
+                end[a], end[b] = b, a
+                plen[a] = plen[b] = plen[u] + plen[v] + 1
+                merged.append((end, plen, a, b))
+        frames[-1] = (u, v, last, low, color, merged, counted, hung)
+        if -1 in m:
+            push(m.index(-1), n - 1, color)
+        elif c + 1 < num_colors:
+            push(0, n - 1, open_color(c + 1))
+        else:
+            g = ColoredGraph([tuple(x) for x in mats])
+            if leaf(g):
+                hits.append(g)
+                if limit is not None and len(hits) >= limit:
+                    return hits, False
+    return hits, True
 
 
 def _standard_matching(n: int) -> tuple[int, ...]:
@@ -823,7 +821,7 @@ def classify_4_4(order_max: int = 8, order_budget: int = 16) -> Classify44Report
                 g, g.vertex_count, is_bipartite(g), verdict, hom, lens_params
             )
         )
-    entries.sort(key=lambda e: (e.order, canonical_form(e.graph, "color-permuting")))
+    entries.sort(key=lambda e: e.order)  # stable: classes are in canonical order
     return Classify44Report(
         order_max, exhaustive, tuple(entries), len(classes), count_fixed
     )

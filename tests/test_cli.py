@@ -271,6 +271,10 @@ def test_analyze_rejects_non_integer_gem_fields(capsys, monkeypatch, gem, needle
     [
         ({"colors": 3}, "missing key 'order'"),
         ([{"colors": 3, "order": 12}], "JSON object"),
+        (
+            {"colors": 3, "order": 12, "pair_lengths": {"01": [4], "10": [6]}},
+            "color pair 01 is given twice",
+        ),
     ],
 )
 def test_search_rejects_malformed_spec(capsys, monkeypatch, tmp_path, spec, needle):

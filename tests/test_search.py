@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,6 +185,15 @@ def test_spec_json_null_or_missing_vertex_types_is_no_constraint():
         assert SearchSpec.from_json_dict(data).vertex_types is None
 
 
+def test_spec_rejects_a_color_pair_given_twice():
+    # "01" and "10" name the same pair; neither length set may win silently.
+    data = {"colors": 3, "order": 12, "pair_lengths": {"01": [4], "10": [6]}}
+    with pytest.raises(ValueError, match="color pair 01 is given twice"):
+        SearchSpec.from_json_dict(data)
+    with pytest.raises(ValueError, match="color pair 01 is given twice"):
+        SearchSpec(colors=3, order=12, pair_lengths={(0, 1): (4,), (1, 0): (4,)})
+
+
 def test_search_order_4_squares_matches_brute_force():
     spec = SearchSpec(
         colors=3,
@@ -317,6 +328,20 @@ def test_bipartite_prunes_inside_the_dfs():
     want = [g.matchings for g in plain if oracle_is_bipartite(g)]
     assert [g.matchings for g in cut] == want
     assert len(cut) == 1200
+
+
+def test_dfs_takes_no_python_frame_per_level():
+    # The DFS keeps its own stack of frames, so it runs within a few Python
+    # frames of headroom above its caller, however deep the search goes.
+    spec = SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite="only")
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        hits, exhaustive = search._run_search(spec)
+    finally:
+        sys.setrecursionlimit(old)
+    assert exhaustive
+    assert len(hits) == 1200
 
 
 def test_order_24_bipartite_4_6_12_search_finds_a_torus():
