@@ -37,8 +37,8 @@ class CyclicPermutation:
 
     def __post_init__(self) -> None:
         t = self.order
-        if sorted(t) != list(range(len(t))):
-            raise ValueError(f"{t!r} is not an arrangement of 0..{len(t) - 1}")
+        if not t or sorted(t) != list(range(len(t))):
+            raise ValueError(f"{t!r} is not an arrangement of 0..{max(len(t) - 1, 0)}")
         if t[0] != 0:
             raise ValueError("canonical arrangement must start at color 0")
         if len(t) > 2 and t[1] > t[-1]:
@@ -47,7 +47,8 @@ class CyclicPermutation:
     @classmethod
     def from_sequence(cls, seq: Iterable[int]) -> "CyclicPermutation":
         """Canonicalize an arbitrary cyclic arrangement."""
-        return cls(_canonical_cyclic(tuple(seq)))
+        t = tuple(seq)
+        return cls(_canonical_cyclic(t) if t else t)
 
     def __iter__(self):
         return iter(self.order)

@@ -585,8 +585,9 @@ def _build_catalog_gem(entry: CatalogEntry, p: Optional[int]) -> ColoredGraph:
     # The tori and Klein bottles are searched for by their caption.
     faces = _catalog_faces(entry, p)
     if faces == (4, 6, 12):
-        # A direct order-24 search takes seconds; covering an order-12 witness
-        # takes milliseconds.
+        # A direct order-24 search also takes about 2 ms, but finds another
+        # labeling; the double cover of an order-12 witness is kept because
+        # its matchings are the pinned catalog entries.
         base = _searched_torus_like(name, 12, faces, entry.orientable)
         return _face_trivial_double_cover(base, want_bipartite=entry.orientable)
     return _searched_torus_like(name, entry.order, faces, entry.orientable)

@@ -13,18 +13,24 @@ fixes color 0 to (0 1)(2 3)... (sound up to relabeling) and builds the
 remaining matchings depth first in one loop over its own stack of frames,
 so neither the recursion limit nor the caller's stack depth bears on it.
 Bicolored-cycle-length constraints propagate as paths merge, so most of the
-space is never visited.  Color 1 skips blocks that are interchangeable so
-far and pins the edge (1 2) when bigons of colors 0 and 1 are excluded.  A
-``vertex_types`` spec is propagated too: each cycle of a cyclically
-consecutive color pair adds its length to a count at every vertex on it
-when it closes, and a vertex holding more cycles of one length than the
-multiset allows cuts the branch.  A bipartite-only spec keeps a parity
-union-find over the vertices, and an edge that would close an odd cycle
-cuts the branch.  Only branches whose leaves would all fail the leaf filter
-are cut, so the hits and their order are those of checking vertex types and
-bipartiteness at the leaves alone.  Results are deduplicated by exact
-canonical forms under color permutation; an empty result therefore means a
-completed search, never a truncated one.
+space is never visited.  A ``vertex_types`` spec is propagated too: each
+cycle of a cyclically consecutive color pair adds its length to a count at
+every vertex on it when it closes, and a vertex holding more cycles of one
+length than the multiset allows cuts the branch.  A bipartite-only spec
+keeps a parity union-find over the vertices, and an edge that would close
+an odd cycle cuts the branch.  These cuts only drop branches whose leaves
+would all fail the leaf filter.
+
+Colors 1 and 2 also skip symmetric partners (one orbit rule, see
+``_matching_dfs``): components of the lower colors that are untouched so
+far and of one size are interchangeable, so a partner among them is only
+tried at the least vertex of the lowest one.  Color 1 also pins the edge
+(1 2) when bigons of colors 0 and 1 are excluded.  The hits come in
+lexicographic order and are a subsequence of the hits of the same search
+without the rule that keeps the first hit of every color-fixed class, so
+deduplication returns the same representatives.  Results are deduplicated
+by exact canonical forms under color permutation; an empty result therefore
+means a completed search, never a truncated one.
 """
 
 from __future__ import annotations
@@ -330,23 +336,36 @@ def _matching_dfs(
     Color 0 is the standard matching (2t, 2t+1); the free matchings are
     built in ascending color then vertex order by one loop over its own
     stack of frames, so the search takes no Python frame per level.  A
-    frame matches one vertex ``u``: it holds the partner tried last, the
-    last partner allowed, the block rule's lowest untouched block (color 1
-    only), its color's state and the undo record of the edge it has in
-    place (merged path ends, counted cycles, hung parity root).  Re-entering
-    a frame undoes that edge and scans the remaining partners; placing an
-    edge pushes a frame for the next free vertex, opens the next color, or
-    at the last color tests the leaf.
+    frame matches the least free vertex ``u`` of its color: it holds the
+    partner tried last, the last partner allowed, its color's state and the
+    undo record of the edge it has in place (merged path ends, counted
+    cycles, hung parity root).  Re-entering a frame undoes that edge and
+    scans the remaining partners; placing an edge pushes a frame for the
+    next free vertex, opens the next color, or at the last color tests the
+    leaf.  Partners ascend at every frame, so the hits come in
+    lexicographic order of their matchings.
 
     A cycle that closes at a length ``_allowed_map(spec)`` forbids, or a
     path already too long to close at an allowed one, prunes the branch.
     When pair (0, 1) excludes bigons, color 1 starts from a frame for vertex
     1 whose last partner is 2, pinning the edge (1 2): vertex 1 needs a
-    partner outside its block, and relabeling makes it 2.  While color 1
-    grows, blocks it has not touched yet are interchangeable and swappable
-    internally, so a partner from them is only tried in the lowest such
-    block, at its even vertex.  Labeled duplicates disappear; every
-    isomorphism class keeps a representative.
+    partner outside its block, and relabeling makes it 2.
+
+    The orbit rule, for colors c = 1 and 2: a component of colors 0..c-1
+    (a block for c = 1, an alternating cycle for c = 2) is untouched while
+    it holds no color-c edge and not ``u``.  Untouched components of one
+    size are isomorphic and each is vertex-transitive under the
+    automorphisms of colors 0..c-1, so all their vertices lie in one orbit
+    of the automorphisms that fix ``u`` and every placed color-c edge.  A
+    partner in an untouched component is only tried when it is the least
+    vertex of the lowest untouched component of its size.  If the first hit
+    H of a color-fixed class took a skipped partner v', the automorphism
+    mapping v' to the kept partner maps H to a graph of the same class that
+    agrees with H before this frame and takes a smaller partner here: an
+    earlier hit, which contradicts H being first.  So the hits are a
+    subsequence of those without the rule and still hold the first hit of
+    every color-fixed class.  Color 3 of a 4-color search keeps every
+    partner: components of three colors need not be vertex-transitive.
 
     With ``spec.vertex_types`` (the leaf filter's per-vertex face multiset
     over the cyclically consecutive color pairs), every cycle of such a
@@ -453,7 +472,14 @@ def _matching_dfs(
                 seen[y][f] -= 1
 
     def open_color(c: int) -> tuple:
-        """Color c's empty matching, its path states and its tracked pairs."""
+        """Color c's empty matching, path states, tracked pairs and components.
+
+        For colors 1 and 2 the components of colors 0..c-1 (blocks, then
+        alternating cycles) are numbered by least vertex: ``comp[v]`` is
+        v's component; ``comp_size``, ``least`` and ``touched`` (color-c edge
+        ends placed in it) are per component.  Color 3 has no orbit rule:
+        its table is one component, touched from the start.
+        """
         m = [-1] * n
         mats[c:] = [m]
         states = []
@@ -466,44 +492,53 @@ def _matching_dfs(
                 states.append((list(mats[j]), [1] * n, lens, max(lens)))
                 if track:
                     tracks.append((states[-1][0], mats[j]))
-        return c, m, states, tracks
-
-    frames: list[tuple] = []
-
-    def push(u: int, last: int, color: tuple) -> None:
-        """Stack a frame that tries the partners of u up to ``last``."""
-        low, own, m = -1, u & ~1, color[1]
-        if color[0] == 1:
-            for base in range(0, n, 2):
-                if base != own and m[base] < 0 and m[base + 1] < 0:
-                    low = base
-                    break
-        frames.append((u, u, last, low, color, (), (), -1))
+        if c > 2:
+            return c, m, states, tracks, [0] * n, [n], [0], [1]
+        comp = [-1] * n
+        comp_size: list[int] = []
+        least: list[int] = []
+        for s in range(n):
+            if comp[s] < 0:
+                k, w, j = len(comp_size), s, 0
+                comp_size.append(0)
+                least.append(s)
+                while comp[w] < 0:  # walk colors 0..c-1 in turn
+                    comp[w] = k
+                    comp_size[k] += 1
+                    w, j = mats[j][w], (j + 1) % c
+        return c, m, states, tracks, comp, comp_size, least, [0] * len(comp_size)
 
     a01 = allowed[(0, 1)]
-    push(*((1, 2) if a01 is not None and 2 not in a01 else (0, n - 1)), open_color(1))
+    u, last = (1, 2) if a01 is not None and 2 not in a01 else (0, n - 1)
+    frames: list[tuple] = [(u, u, last, open_color(1), (), (), -1)]
     hits: list[ColoredGraph] = []
     while frames:
-        u, v, last, low, color, merged, counted, hung = frames[-1]
-        c, m, states, tracks = color
+        u, v, last, color, merged, counted, hung = frames[-1]
+        c, m, states, tracks, comp, comp_size, least, touched = color
+        ku = comp[u]
         if m[u] >= 0:  # undo the edge uv this frame placed
             for end, plen, a, b in merged:
                 end[a], end[b] = u, v
                 plen[a], plen[b] = plen[u], plen[v]
             m[u] = m[v] = -1
+            touched[ku] -= 1
+            touched[comp[v]] -= 1
             if counted:
                 uncount(counted)
             if hung >= 0:
                 unjoin(hung)
-        own = u & ~1
         for v in range(v + 1, last + 1):
             if m[v] >= 0:
                 continue
-            if c == 1:
-                base = v & ~1
-                if base != own and m[base] < 0 and m[base ^ 1] < 0:
-                    if base != low or v != base:
-                        continue
+            k = comp[v]
+            if not touched[k] and k != ku and (
+                v != least[k]
+                or any(
+                    not touched[j] and comp_size[j] == comp_size[k]
+                    for j in range(ku + 1, k)
+                )
+            ):
+                continue  # not the orbit's least vertex
             closes = False
             for end, plen, lens, maxlen in states:
                 if end[u] == v:
@@ -527,6 +562,8 @@ def _matching_dfs(
             frames.pop()
             continue
         m[u], m[v] = v, u
+        touched[ku] += 1
+        touched[comp[v]] += 1
         merged = []
         for end, plen, lens, maxlen in states:
             if end[u] != v:
@@ -534,11 +571,12 @@ def _matching_dfs(
                 end[a], end[b] = b, a
                 plen[a] = plen[b] = plen[u] + plen[v] + 1
                 merged.append((end, plen, a, b))
-        frames[-1] = (u, v, last, low, color, merged, counted, hung)
+        frames[-1] = (u, v, last, color, merged, counted, hung)
         if -1 in m:
-            push(m.index(-1), n - 1, color)
+            u = m.index(-1)
+            frames.append((u, u, n - 1, color, (), (), -1))
         elif c + 1 < num_colors:
-            push(0, n - 1, open_color(c + 1))
+            frames.append((0, 0, n - 1, open_color(c + 1), (), (), -1))
         else:
             g = ColoredGraph([tuple(x) for x in mats])
             if leaf(g):
@@ -674,7 +712,13 @@ def search_report(
     max_order: int = DEFAULT_ORDER_BUDGET,
     limit: Optional[int] = None,
 ) -> SearchReport:
-    """Run a search and package the outcome for serialization."""
+    """Run a search and package the outcome for serialization.
+
+    ``limit`` stops the search after that many raw hits, before
+    deduplication.  The orbit rule of ``_matching_dfs`` drops most
+    automorphic copies, so for ``limit`` >= 2 those raw hits hold fewer
+    duplicates of one class than the labeled hits would.
+    """
     _check_budget(spec.order, max_order)
     hits, exhaustive = _run_search(spec, limit=limit)
     return SearchReport(spec, exhaustive, tuple(_dedup_canonical(hits)))

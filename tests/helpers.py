@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import pathlib
 import random
 
 from gemkit.core import ColoredGraph
@@ -21,6 +23,24 @@ def random_matching(rng: random.Random, n: int) -> list[int]:
 
 def standard_matching(n: int) -> list[int]:
     return [v + 1 if v % 2 == 0 else v - 1 for v in range(n)]
+
+
+def stored_hit_list(spec) -> list[list[list[int]]]:
+    """The raw hits of ``search._run_search(spec)`` before the orbit rule.
+
+    ``data/hit_lists_before_orbit_rule.json`` holds them as the search
+    returned them, in order, before color 2 skipped interchangeable
+    alternating cycles (color 1 already skipped interchangeable blocks).
+    Each hit is one word per color, one hex digit per vertex.
+    """
+    path = pathlib.Path(__file__).parent / "data" / "hit_lists_before_orbit_rule.json"
+    for entry in json.loads(path.read_text()):
+        if entry["spec"] == spec.to_json_dict():
+            return [
+                [[int(x, 16) for x in word] for word in hit.split()]
+                for hit in entry["hits"]
+            ]
+    raise KeyError(spec)
 
 
 def random_surface_gem(rng: random.Random, n: int) -> ColoredGraph:

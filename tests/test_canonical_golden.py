@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from gemkit.core import canonical_form
+from gemkit.core import ColoredGraph, canonical_form
 from gemkit.generators import (
     lens_gem,
     rp2_sum_gem,
@@ -19,7 +19,9 @@ from gemkit.generators import (
     standard_sphere,
     torus_sum_gem,
 )
-from gemkit.search import SearchSpec, _run_search
+from gemkit.search import SearchSpec
+
+from helpers import stored_hit_list
 
 # name -> (graph builder, color-fixed hex, color-permuting hex)
 GOLDEN = {
@@ -99,7 +101,8 @@ GOLDEN = {
 }
 
 # SHA-256 over the sorted color-permuting forms of the raw (not yet
-# deduplicated) order-12 all-squares hits that classify_4_4(12) reduces.
+# deduplicated) order-12 all-squares hits that classify_4_4(12) reduced
+# before color 2 skipped interchangeable cycles; tests/data holds them.
 ALL_SQUARES_12_HITS = 384
 ALL_SQUARES_12_CLASSES = 4
 ALL_SQUARES_12_SHA256 = "77841e0ae91c95f5ef6f6a0286e435caa60f6bdc7c17f310d9483434511efe51"
@@ -120,9 +123,9 @@ def test_all_squares_order_12_forms_digest():
         pair_lengths={(0, 1): (4,), (1, 2): (4,), (2, 3): (4,), (0, 3): (4,)},
         bigons="exclude",
     )
-    hits, exhaustive = _run_search(spec)
-    assert exhaustive and len(hits) == ALL_SQUARES_12_HITS
-    forms = sorted(canonical_form(g, "color-permuting") for g in hits)
+    hits = stored_hit_list(spec)
+    assert len(hits) == ALL_SQUARES_12_HITS
+    forms = sorted(canonical_form(ColoredGraph(h), "color-permuting") for h in hits)
     assert len(set(forms)) == ALL_SQUARES_12_CLASSES
     digest = hashlib.sha256()
     for form in forms:

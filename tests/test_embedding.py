@@ -72,6 +72,13 @@ def test_cyclic_permutation_normalization():
         CyclicPermutation((0, 1, 1))
 
 
+def test_empty_arrangement_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^\(\) is not an arrangement"):
+        CyclicPermutation(())
+    with pytest.raises(ValueError, match=r"^\(\) is not an arrangement"):
+        CyclicPermutation.from_sequence(())
+
+
 def test_pairs_wrap_around():
     assert EPS4.pairs() == ((0, 1), (1, 2), (2, 3), (3, 0))
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gemkit.core import is_bipartite, isomorphic
+from gemkit.core import ColoredGraph, canonical_form, is_bipartite, isomorphic
 from gemkit.embedding import (
     CyclicPermutation,
     _canonical_cyclic,
@@ -32,6 +32,7 @@ from helpers import (
     oracle_canonical_labeling,
     oracle_components,
     oracle_is_bipartite,
+    stored_hit_list,
     standard_matching,
 )
 
@@ -227,8 +228,11 @@ def test_search_order_4_squares_matches_brute_force():
     )
 
 
-# SHA-256 of the JSON list of each hit's matchings, in search order, as
-# produced before vertex types were propagated into the matching DFS.
+# Count and SHA-256 of the JSON list of each hit's matchings, in search
+# order, as the search produced them before color 2 skipped
+# interchangeable alternating cycles.  The lists themselves are in
+# tests/data/hit_lists_before_orbit_rule.json; ORBIT_HIT_LISTS below pins
+# the lists of today's search.
 PINNED_HIT_LISTS = [
     (
         SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12)),
@@ -250,8 +254,8 @@ PINNED_HIT_LISTS = [
 
 _SQUARES = {(0, 1): (4,), (1, 2): (4,), (2, 3): (4,), (0, 3): (4,)}
 
-# The same digests for bipartite searches, as produced before the matching
-# DFS cut edges that close odd cycles.
+# The same for bipartite searches (the lists were already those of checking
+# bipartiteness at the leaves alone).
 PINNED_BIPARTITE_HIT_LISTS = [
     (
         SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite="only"),
@@ -276,15 +280,95 @@ PINNED_BIPARTITE_HIT_LISTS = [
 ]
 
 
+# Stored list's digest -> count and SHA-256 of the list the search returns now.
+ORBIT_HIT_LISTS = {
+    "602097b2d5e7d11f417301ee91e38508fbe1defb98651ab69239ba5f81c174b2": (
+        42,
+        "7164d1528a6cbf28b6ed1d30b40632a3acf2b5a0567f7909115cf1641e3a5b73",
+    ),
+    "9ec2221403c6c23dfbf658a8416b6b66047a0595e70ed860c0a629ca91eaebac": (
+        15,
+        "1c49b10503d900df6ed3f22bb5da3a30b168294e6e288c86e6693e73b79ae61e",
+    ),
+    "e3449dc73e47eb23c2d9b64853643d6cafb1ac57f9c23f734828be16f167bb68": (
+        18,
+        "28c32aca60b4f2736c1350d9ab15b9deec5cfdf22026316d4ec7881a0fe4f88c",
+    ),
+    "d15d2179887296812815e2ccac51ed4524ba96e7280a18bd4bfa26a9854ca529": (
+        9,
+        "4f4027271515e531d7038d9425653433724aad402463ae59772c1d60807f2657",
+    ),
+    "0058d9d858bdd6852a3cf44b15310a655af89b8f04879e8503390f5086e7b586": (
+        6,
+        "e096cbb89c5ebe4a01a068777316ebfabad5cd1d09354ea92034108a8fd20152",
+    ),
+    "f26f0749fe1ba6a38a2219b8faa73fa3dfcf3b107c5c561d6d6e3d24d3ac8491": (
+        3,
+        "446439ee20090bd42bd779152df084494b7ad85abd9396d034abdb9b0453d86b",
+    ),
+    "2abcc228adbbfba1817becb2883d6e9d9464ec229eb6e38daa28b5ff3009e7d2": (
+        35,
+        "9c657645c31312e0fb2980dee290061faf3c965a4ff39c7f40e18ea5e4c22495",
+    ),
+}
+
+
+def _json_digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "spec, count, digest", PINNED_HIT_LISTS + PINNED_BIPARTITE_HIT_LISTS
 )
 def test_search_hit_lists_pinned(spec, count, digest):
+    # The orbit rule only drops hits whose automorphic image came earlier, so
+    # today's list is a subsequence of the stored one that still holds the
+    # first hit of every color-fixed class.
+    before = stored_hit_list(spec)
+    assert len(before) == count and _json_digest(before) == digest
     hits, exhaustive = search._run_search(spec)
     assert exhaustive
-    assert len(hits) == count
-    raw = json.dumps([[list(m) for m in g.matchings] for g in hits]).encode()
-    assert hashlib.sha256(raw).hexdigest() == digest
+    now = [[list(m) for m in g.matchings] for g in hits]
+    assert all(a < b for a, b in zip(now, now[1:]))  # DFS order is lexicographic
+    rest = iter(before)
+    assert all(h in rest for h in now)
+    firsts: dict[bytes, list] = {}
+    for h in before:
+        firsts.setdefault(canonical_form(ColoredGraph(h), "color-fixed"), h)
+    assert all(h in now for h in firsts.values())
+    assert (len(now), _json_digest(now)) == ORBIT_HIT_LISTS[digest]
+
+
+# SHA-256 of search_report(spec).to_json_dict(), keys sorted, for the five
+# specs of the perfbench `search` workload: the classes, their order and
+# their representatives do not depend on how many duplicates the DFS emits.
+PINNED_REPORTS = [
+    (
+        SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8)),
+        "f57acf40772acea68f634828c96ba98682f5eace0b836b72af0850575002ec9a",
+    ),
+    (
+        SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite="only"),
+        "3cfe78f225da68b712f8137b637366007cdf3cd35f711e33d3c4f612966cd4b0",
+    ),
+    (
+        SearchSpec(colors=3, order=18, pair_lengths={(0, 1): (6,), (0, 2): (6,), (1, 2): (6,)}),
+        "75e847835cdf36ff15b122df922a7cc27269f60b1fb2eee771282fef35181497",
+    ),
+    (
+        SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12)),
+        "c740a1ed7b8721079bc43d9676c95b1e5719beee2593b1290f07d5b07701976b",
+    ),
+    (
+        SearchSpec(colors=3, order=12, vertex_types=(6, 6, 4), chi=1),
+        "cd807643f368c20dbd1a03793b3a9b3977640076adba6995c65e60314cb7f800",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_REPORTS)
+def test_search_report_pinned(spec, digest):
+    assert _json_digest(search_report(spec).to_json_dict()) == digest
 
 
 def _counted_dfs(spec):
@@ -303,16 +387,17 @@ def _counted_dfs(spec):
 
 def test_vertex_types_prune_inside_the_dfs():
     # (4,6,12)/12: the per-vertex cycle counts cut every branch whose
-    # leaves would fail the vertex-type check (5,816 leaves reach the leaf
-    # filter without them), so every leaf reached is a hit.
+    # leaves would fail the vertex-type check, so every leaf reached is a
+    # hit (42 of them; without the counts and the orbit rule on color 2,
+    # 5,816 leaves reached the leaf filter for 546 hits).
     hits, reached = _counted_dfs(SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12)))
-    assert len(hits) == len(reached) == 546
+    assert len(hits) == len(reached) == 42
 
 
 def test_bipartite_prunes_inside_the_dfs():
-    # (4,8,8)/16: the "any" spec has no parity cut, and 7,900 leaves reach
-    # the leaf filter, 6,624 of them not bipartite; the "only" spec cuts
-    # odd cycles, reaches 1,276 leaves, all bipartite, and hits exactly the
+    # (4,8,8)/16: the "any" spec has no parity cut, and 320 leaves reach
+    # the leaf filter, 300 of them not bipartite; the "only" spec cuts odd
+    # cycles, reaches 20 leaves, all bipartite, and hits exactly the
     # bipartite hits of "any", in the same order.
     runs = {
         mode: _counted_dfs(
@@ -321,13 +406,13 @@ def test_bipartite_prunes_inside_the_dfs():
         for mode in ("any", "only")
     }
     (plain, plain_reached), (cut, cut_reached) = runs["any"], runs["only"]
-    assert len(plain_reached) == 7900
-    assert sum(not oracle_is_bipartite(g) for g in plain_reached) == 6624
-    assert len(cut_reached) == 1276
+    assert len(plain_reached) == 320
+    assert sum(not oracle_is_bipartite(g) for g in plain_reached) == 300
+    assert len(cut_reached) == 20
     assert all(oracle_is_bipartite(g) for g in cut_reached)
     want = [g.matchings for g in plain if oracle_is_bipartite(g)]
     assert [g.matchings for g in cut] == want
-    assert len(cut) == 1200
+    assert len(cut) == 9
 
 
 def test_dfs_takes_no_python_frame_per_level():
@@ -341,7 +426,7 @@ def test_dfs_takes_no_python_frame_per_level():
     finally:
         sys.setrecursionlimit(old)
     assert exhaustive
-    assert len(hits) == 1200
+    assert len(hits) == 9
 
 
 def test_order_24_bipartite_4_6_12_search_finds_a_torus():
@@ -361,8 +446,15 @@ def test_vertex_type_search_matches_brute_force():
     # sorted by the face multiset its vertices share (if they share one)
     # and by bipartiteness, with face lengths taken from component sizes,
     # bipartiteness from a BFS 2-colouring and classes from the unpruned
-    # canonical labeling.
+    # canonical labeling in both color modes.  The raw hits must meet every
+    # class the brute force finds and no other: the DFS's orbit rules keep a
+    # representative of each color-fixed class.
     from gemkit.core import ColoredGraph
+
+    modes = ("color-fixed", "color-permuting")
+
+    def forms(g):
+        return tuple(oracle_canonical_labeling(g, mode)[0] for mode in modes)
 
     for n in (4, 6, 8):
         classes: dict[tuple[int, ...], set] = {}
@@ -382,11 +474,10 @@ def test_vertex_type_search_matches_brute_force():
                         face[i][v] = len(comp)
             types = {tuple(sorted(col[v] for col in face)) for v in range(n)}
             if len(types) == 1:
-                form = oracle_canonical_labeling(g, "color-permuting")[0]
                 vt = types.pop()
-                classes.setdefault(vt, set()).add(form)
+                classes.setdefault(vt, set()).add(forms(g))
                 if oracle_is_bipartite(g):
-                    bipartite.setdefault(vt, set()).add(form)
+                    bipartite.setdefault(vt, set()).add(forms(g))
         for vt in itertools.combinations_with_replacement(range(2, n + 1, 2), 3):
             every = classes.get(vt, set())
             only = bipartite.get(vt, set())
@@ -398,7 +489,12 @@ def test_vertex_type_search_matches_brute_force():
                     bipartite=policy,
                     bigons="include" if 2 in vt else "exclude",
                 )
-                assert len(find_gems(spec)) == len(want), (n, vt, policy)
+                hits, exhaustive = search._run_search(spec)
+                assert exhaustive
+                got = {forms(g) for g in hits}
+                for i, mode in enumerate(modes):
+                    assert {f[i] for f in got} == {f[i] for f in want}, (n, vt, policy, mode)
+                assert len(find_gems(spec)) == len({f[1] for f in want}), (n, vt, policy)
 
 
 def test_search_hexagons_order_12():
@@ -517,6 +613,15 @@ def test_classify_monotone_in_order():
             and isomorphic(e.graph, f.graph, "color-permuting") is not None
         ]
         assert len(matches) == 1
+
+
+def test_classify_order_16_pinned():
+    rep = classify_4_4(16)
+    assert rep.exhaustive
+    assert (rep.count_color_permuting, rep.count_color_fixed) == (17, 35)
+    assert _json_digest(rep.to_json_dict()) == (
+        "fa6e3c7715369e8869df9d536c2c965d3c58cbe5d3660d39942ade6d17ba672f"
+    )
 
 
 def test_classify_budget():
