@@ -6,18 +6,21 @@ edges.  The resulting h-cells correspond to pairs (label set of size h+1,
 component of the residue on the complementary colors); boundary maps carry
 signs from the position of the dropped label in ascending order.
 
-Homology is computed from the boundary matrices by Smith normal form over
-exact integers, which at these sizes needs no modular tricks: the boundary
-matrices are sparse and mostly have entries +-1, so every unit pivot is
-eliminated on sparse rows first and only the small remainder is reduced
-densely.  The manifold check certifies each residue component once per
-call, however many deletion orders reach it.
+Each boundary map is kept as sparse columns, at most h+1 entries +-1 per
+h-cell; the dense matrices are only a view built on request.  Homology is
+computed by Smith normal form over exact integers, which at these sizes
+needs no modular tricks: the columns go straight in as the rows of the
+transposed map, every unit pivot is eliminated on those sparse rows, and
+only the small remainder is reduced densely.  The manifold check
+certifies each residue component once per call, however many deletion
+orders reach it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .core import (
@@ -32,21 +35,35 @@ from .embedding import CyclicPermutation, euler_characteristic
 
 @dataclass(frozen=True)
 class PseudoComplex:
-    """Cells and integer boundary matrices of the glued simplex complex.
+    """Cells and integer boundary maps of the glued simplex complex.
 
-    ``cells[h]`` lists the h-cells as (label set, component id) pairs;
-    ``boundaries[h]`` is the matrix of the boundary map from h-cells to
-    (h-1)-cells, rows indexed by the latter.  ``boundaries[0]`` is the
-    empty matrix.
+    ``cells[h]`` lists the h-cells as (label set, component id) pairs.
+    ``columns[h][j]`` is the sparse boundary of h-cell j: entry ``pos`` is
+    the (h-1)-cell of the facet that drops the label at index ``pos`` of
+    its label set, with coefficient (-1)^pos; facets drop different
+    labels, so the h+1 cells are distinct.  ``boundaries[h]`` is the same
+    map as a dense matrix, rows indexed by the (h-1)-cells, built on first
+    read.  ``columns[0]`` and ``boundaries[0]`` are empty.
     """
 
     dimension: int
     cells: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
-    boundaries: tuple[tuple[tuple[int, ...], ...], ...]
+    columns: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.cells)
+
+    @cached_property
+    def boundaries(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        mats = []
+        for h, cols in enumerate(self.columns):
+            mat = [[0] * len(cols) for _ in self.cells[h - 1]] if h else []
+            for j, col in enumerate(cols):
+                for pos, i in enumerate(col):
+                    mat[i][j] = -1 if pos % 2 else 1
+            mats.append(tuple(tuple(r) for r in mat))
+        return tuple(mats)
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,21 +104,18 @@ def build_complex(g: ColoredGraph) -> PseudoComplex:
             offset += count
         cells.append(tuple(layer))
 
-    boundaries: list[tuple[tuple[int, ...], ...]] = [tuple()]
+    columns: list[tuple[tuple[int, ...], ...]] = [()]
     for h in range(1, d + 1):
-        rows = len(cells[h - 1])
-        mat = [[0] * len(cells[h]) for _ in range(rows)]
+        layer_cols: list[tuple[int, ...]] = []
         for C in itertools.combinations(all_colors, h + 1):
-            offset, _, reps = subset_info[C]
-            for j, rep in enumerate(reps):
-                col = offset + j
-                for pos, c in enumerate(C):
-                    facet = tuple(x for x in C if x != c)
-                    f_offset, f_idx, _ = subset_info[facet]
-                    row = f_offset + f_idx[rep]
-                    mat[row][col] += -1 if pos % 2 else 1
-        boundaries.append(tuple(tuple(r) for r in mat))
-    return PseudoComplex(d, tuple(cells), tuple(boundaries))
+            _, _, reps = subset_info[C]
+            facet_rows = []
+            for pos in range(h + 1):
+                f_offset, f_idx, _ = subset_info[C[:pos] + C[pos + 1 :]]
+                facet_rows.append([f_offset + f_idx[rep] for rep in reps])
+            layer_cols += zip(*facet_rows)
+        columns.append(tuple(layer_cols))
+    return PseudoComplex(d, tuple(cells), tuple(columns))
 
 
 def euler_characteristic_complex(k: PseudoComplex) -> int:
@@ -112,23 +126,34 @@ def euler_characteristic_complex(k: PseudoComplex) -> int:
 def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Unit pivots are eliminated sparsely first: columns are visited once in
-    order, and a column holding an entry of absolute value 1 takes the one
-    in the shortest row, clears the rest of the column with that row and
-    drops out together with it, contributing a factor 1.  Only the small
-    remainder goes through the dense Smith normal form.  Invariant factors
-    are unique, so the split changes nothing in the result.
+    The rows must have equal length and hold exact ints (no bools, floats
+    or other numbers); anything else raises ``ValueError``.
     """
     width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
         raise ValueError("rows must have equal length")
-    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    if any(type(v) is not int for r in rows for v in r):
+        raise ValueError("entries must be exact ints")
+    return _sparse_snf([{j: v for j, v in enumerate(r) if v} for r in rows], width)
+
+
+def _sparse_snf(sparse: list[dict[int, int]], width: int) -> list[int]:
+    """Invariant factors of the matrix with these sparse rows, consumed.
+
+    Unit pivots are eliminated sparsely first: columns ``0..width-1`` are
+    visited once, those with the fewest entries at the start first, and a
+    column holding an entry of absolute value 1 takes the one in the
+    shortest row, clears the rest of the column with that row and drops
+    out together with it, contributing a factor 1.  Only the small
+    remainder goes through the dense Smith normal form.  Invariant factors
+    are unique, so neither the order nor the split changes the result.
+    """
     col_rows: list[set[int]] = [set() for _ in range(width)]
     for i, r in enumerate(sparse):
         for j in r:
             col_rows[j].add(i)
     units = 0
-    for j in range(width):
+    for j in sorted(range(width), key=lambda j: len(col_rows[j])):
         pivot = None
         for i in col_rows[j]:
             if sparse[i][j] in (1, -1) and (
@@ -137,11 +162,16 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
                 pivot = i
         if pivot is None:
             continue
+        # Row operations clear column j outside the pivot row, then column
+        # operations the pivot row; ``col_rows[j]`` goes stale, unread.
         prow = sparse[pivot]
-        sign = prow[j]
-        for i in col_rows[j] - {pivot}:
+        sparse[pivot] = {}
+        for k in prow:
+            col_rows[k].discard(pivot)
+        sign = prow.pop(j)
+        for i in col_rows[j]:
             r = sparse[i]
-            q = r[j] * sign
+            q = r.pop(j) * sign
             for k, v in prow.items():
                 nv = r.get(k, 0) - q * v
                 if nv:
@@ -151,11 +181,6 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
                 else:
                     del r[k]
                     col_rows[k].discard(i)
-        # Column j is now zero outside the pivot row, so column
-        # operations clear that row without touching any other.
-        for k in prow:
-            col_rows[k].discard(pivot)
-        sparse[pivot] = {}
         units += 1
     left = [r for r in sparse if r]
     cols = sorted({j for r in left for j in r})
@@ -270,9 +295,15 @@ class HomologyProfile:
 
 def homology_of_complex(k: PseudoComplex) -> HomologyProfile:
     d = k.dimension
-    factors = [smith_invariant_factors(k.boundaries[h]) for h in range(d + 1)]
-    factors.append([])  # boundary out of dimension d+1 is zero
     f = k.f_vector
+    factors: list[list[int]] = [[]]
+    for h in range(1, d + 1):
+        # The columns of a boundary map are the rows of its transpose,
+        # which has the same invariant factors.
+        signs = [-1 if pos % 2 else 1 for pos in range(h + 1)]
+        rows = [dict(zip(col, signs)) for col in k.columns[h]]
+        factors.append(_sparse_snf(rows, f[h - 1]))
+    factors.append([])  # boundary out of dimension d+1 is zero
     groups = []
     for i in range(d + 1):
         rank_in = len(factors[i + 1])

@@ -36,8 +36,8 @@ means a completed search, never a truncated one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
@@ -126,25 +126,27 @@ def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
     else:
         degrees = range(3, 4 - chi + 1)
 
+    # The counting identity is p r = chi with r = 1 - dp/2 + sum 1/q; times
+    # 2L, for L the lcm of the face lengths, it holds in integers.
+    lengths = range(4, q_max + 1, 2)
+    lcm = math.lcm(*lengths)
     out: list[TypeSolution] = []
     for dp in degrees:
-        for combo in itertools.combinations_with_replacement(
-            range(4, q_max + 1, 2), dp
-        ):
+        for combo in itertools.combinations_with_replacement(lengths, dp):
             # For chi > 0 every combo has three faces; (4, 4, q) with q > 4
             # is folded into the symbolic family.
             if chi > 0 and combo[:2] == (4, 4) and combo[2] > 4:
                 continue
-            r = 1 - Fraction(dp, 2) + sum(Fraction(1, q) for q in combo)
-            if r == 0:
+            r2 = (2 - dp) * lcm + sum(2 * lcm // q for q in combo)
+            if r2 == 0:
                 if chi != 0:
                     continue
                 order: object = None
             else:
-                p = Fraction(chi, 1) / r
-                if p.denominator != 1 or p < 4:
+                p, rem = divmod(2 * lcm * chi, r2)
+                if rem or p < 4:
                     continue
-                order = int(p)
+                order = p
             # A cyclic word determines its multiset, so no two combos share one.
             for arrangement in _cyclic_arrangements(combo):
                 out.append(TypeSolution(_runs_of(arrangement), order, chi))

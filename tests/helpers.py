@@ -244,6 +244,78 @@ def oracle_manifold_check(g: ColoredGraph):
     return ManifoldVerdict(HOMOLOGY_CERTIFIED)
 
 
+def oracle_homology(g: ColoredGraph):
+    """Homology from dense boundary matrices and sympy's invariant factors.
+
+    The complex is built as the library built it before its boundary maps
+    became sparse columns, kept verbatim apart from returning the cell
+    counts and the dense matrices; sympy reduces them.  Skips the calling
+    test where sympy is missing.
+    """
+    import pytest
+
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    from gemkit.complexes import HomologyProfile
+    from gemkit.core import NotConnectedError, component_index
+
+    if not g.is_connected():
+        raise NotConnectedError("the complex is built for connected graphs")
+    d = g.dimension
+    all_colors = tuple(range(d + 1))
+
+    subset_info = {}
+    cells = []
+    for h in range(d + 1):
+        layer = []
+        offset = 0
+        for C in itertools.combinations(all_colors, h + 1):
+            rest = tuple(c for c in all_colors if c not in C)
+            idx, count = component_index(g, rest)
+            reps = [-1] * count
+            for v, comp in enumerate(idx):
+                if reps[comp] < 0:
+                    reps[comp] = v
+            subset_info[C] = (offset, idx, reps)
+            layer.extend((C, j) for j in range(count))
+            offset += count
+        cells.append(tuple(layer))
+
+    boundaries = [tuple()]
+    for h in range(1, d + 1):
+        rows = len(cells[h - 1])
+        mat = [[0] * len(cells[h]) for _ in range(rows)]
+        for C in itertools.combinations(all_colors, h + 1):
+            offset, _, reps = subset_info[C]
+            for j, rep in enumerate(reps):
+                col = offset + j
+                for pos, c in enumerate(C):
+                    facet = tuple(x for x in C if x != c)
+                    f_offset, f_idx, _ = subset_info[facet]
+                    row = f_offset + f_idx[rep]
+                    mat[row][col] += -1 if pos % 2 else 1
+        boundaries.append(tuple(tuple(r) for r in mat))
+
+    factors = [
+        [abs(int(x)) for x in invariant_factors(Matrix(m), domain=ZZ) if x]
+        if m and m[0]
+        else []
+        for m in boundaries
+    ] + [[]]
+    f = [len(layer) for layer in cells]
+    return HomologyProfile(
+        tuple(
+            (
+                f[i] - len(factors[i]) - len(factors[i + 1]),
+                tuple(e for e in sorted(factors[i + 1]) if e > 1),
+            )
+            for i in range(d + 1)
+        )
+    )
+
+
 def doubled(g: ColoredGraph) -> ColoredGraph:
     """Two copies of ``g`` joined by a new last color v <-> v + n."""
     n = g.vertex_count

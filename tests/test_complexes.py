@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +13,7 @@ from gemkit.complexes import (
     CERTIFIED_SURFACE,
     HOMOLOGY_CERTIFIED,
     HomologyProfile,
+    PseudoComplex,
     build_complex,
     consistency_surface,
     euler_characteristic_complex,
@@ -112,6 +116,61 @@ def test_complex_json_export():
     assert len(data["boundaries"]) == 3
 
 
+# SHA-256 of the compact, key-sorted JSON of ``to_json_dict()``, pinned from
+# the dense construction that built every boundary matrix entry by entry.
+COMPLEX_JSON_SHA256 = {
+    "standard_sphere(3)": (
+        standard_sphere(3),
+        "7129d5df6b516b90c5e7a1819213401003f0b6af2b7801e739ec43b4a6235ea9",
+    ),
+    "lens_gem(5,2,4)": (
+        lens_gem(5, 2, 4),
+        "38d71f08a1e1a88ca6b8f17cc33be10074fd8ca9e419dd1ea2ad00a4813d3de1",
+    ),
+    "sphere_times_circle_gem(4,twisted=True)": (
+        sphere_times_circle_gem(4, twisted=True),
+        "5454289dde060925d56e2ed4d6348816dac0edd2c2075ee4ac7bc085007c8a3c",
+    ),
+    "rp2_sum_gem(3)": (
+        rp2_sum_gem(3),
+        "9fe20d2075284d9d50d894990e39e9f184bbf11d4767b7fffe83b525c644cf0c",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(COMPLEX_JSON_SHA256))
+def test_complex_json_golden(label):
+    gem, digest = COMPLEX_JSON_SHA256[label]
+    data = build_complex(gem).to_json_dict()
+    raw = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_dense_boundaries_are_a_cached_view():
+    k = build_complex(lens_gem(3, 1, 2))
+    assert k.boundaries is k.boundaries
+    for h in range(1, k.dimension + 1):
+        assert len(k.boundaries[h]) == k.f_vector[h - 1]
+        assert all(len(row) == k.f_vector[h] for row in k.boundaries[h])
+        assert len(k.columns[h]) == k.f_vector[h]
+    assert k.boundaries[0] == () and k.columns[0] == ()
+
+
+def test_homology_never_builds_dense_matrices(monkeypatch):
+    def no_dense(self):
+        raise AssertionError("dense boundary matrices built on the homology path")
+
+    monkeypatch.setattr(PseudoComplex, "boundaries", property(no_dense))
+    with pytest.raises(AssertionError):
+        build_complex(standard_sphere(2)).boundaries
+    bundle = ((1, ()), (1, ()), (0, ()), (0, ()), (1, ()), (1, ()))
+    twisted = ((1, ()), (1, ()), (0, ()), (0, ()), (0, (2,)), (0, ()))
+    assert homology(sphere_times_circle_gem(5)).groups == bundle
+    assert homology(sphere_times_circle_gem(5, twisted=True)).groups == twisted
+    for tw in (False, True):
+        assert manifold_check(sphere_times_circle_gem(5, twisted=tw)).kind == HOMOLOGY_CERTIFIED
+
+
 # -- Euler characteristic ------------------------------------------------------
 
 
@@ -154,6 +213,22 @@ def test_snf_rejects_ragged_rows():
         smith_invariant_factors([[1, 0], [0]])
     with pytest.raises(ValueError, match="rows must have equal length"):
         smith_invariant_factors([[], [1]])
+
+
+def test_snf_rejects_inexact_entries():
+    # Floats, bools and other numbers would give non-exact "factors".
+    for rows in (
+        [[1.5, 2]],
+        [[2.0, 0], [0, 3.0]],
+        [[True, 2]],
+        [[0, False]],
+        [[Fraction(1), 0]],
+        [[1, 0], [0, 1.0]],
+    ):
+        with pytest.raises(ValueError, match="exact ints"):
+            smith_invariant_factors(rows)
+    assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_invariant_factors(((1, 0), (0, -1))) == [1, 1]
 
 
 def test_snf_dense_remainder_after_unit_pivots():

@@ -1,4 +1,4 @@
-"""Smith normal form against sympy's invariant factors."""
+"""Smith normal form and homology against sympy's invariant factors."""
 
 import random
 
@@ -8,12 +8,15 @@ sympy = pytest.importorskip("sympy")
 from sympy import ZZ, Matrix  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from gemkit.complexes import build_complex, smith_invariant_factors  # noqa: E402
+from gemkit.complexes import build_complex, homology, smith_invariant_factors  # noqa: E402
 from gemkit.generators import (  # noqa: E402
     lens_gem,
     rp2_sum_gem,
     sphere_times_circle_gem,
+    torus_sum_gem,
 )
+
+from helpers import oracle_homology, random_gem, random_permutation  # noqa: E402
 
 
 def sympy_factors(rows):
@@ -69,3 +72,46 @@ def test_snf_matches_sympy_without_unit_entries():
 def test_snf_matches_sympy_on_boundary_matrices(gem):
     for rows in build_complex(gem).boundaries:
         assert smith_invariant_factors(rows) == sympy_factors(rows)
+
+
+# -- homology against the dense oracle ----------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_homology_matches_dense_oracle_on_random_gems(d):
+    rng = random.Random(5100 + d)
+    for n in range(2, 17, 2):
+        for _ in range(2):
+            g = random_gem(rng, d, n)
+            assert homology(g) == oracle_homology(g), g.matchings
+
+
+@pytest.mark.parametrize(
+    "gem",
+    [
+        lens_gem(5, 2, 4),
+        lens_gem(7, 3, 4),
+        sphere_times_circle_gem(4),
+        sphere_times_circle_gem(4, twisted=True),
+        sphere_times_circle_gem(5),
+        sphere_times_circle_gem(5, twisted=True),
+        torus_sum_gem(3),
+        rp2_sum_gem(5),
+    ],
+    ids=[
+        "lens(5,2,4)",
+        "lens(7,3,4)",
+        "bundle4",
+        "bundle4-twisted",
+        "bundle5",
+        "bundle5-twisted",
+        "torus-sum3",
+        "rp2-sum5",
+    ],
+)
+def test_homology_matches_dense_oracle_on_relabeled_families(gem):
+    rng = random.Random(len(gem.matchings[0]))
+    g = gem.relabel(random_permutation(rng, gem.vertex_count)).recolor(
+        random_permutation(rng, gem.dimension + 1)
+    )
+    assert homology(g) == oracle_homology(g)
