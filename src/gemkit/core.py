@@ -429,15 +429,42 @@ def canonical_form(g: ColoredGraph, mode: str = "color-fixed") -> bytes:
     return b",".join(str(x).encode() for x in body)
 
 
-def _invariant_fingerprint(g: ColoredGraph, mode: str) -> tuple:
-    """Cheap isomorphism invariants used to reject pairs early."""
-    pair_counts = tuple(
-        residue_count(g, pair)
-        for pair in itertools.combinations(g.colors, 2)
-    )
-    if mode == "color-permuting":
-        pair_counts = tuple(sorted(pair_counts))
-    return (g.dimension, g.vertex_count, is_bipartite(g), pair_counts)
+def _pair_table(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
+    """Sorted bicolored cycle lengths of every color pair, keyed both ways."""
+    table = {}
+    for i, j in itertools.combinations(g.colors, 2):
+        table[i, j] = table[j, i] = sorted(
+            bicolored_cycle_lengths(g.matchings[i], g.matchings[j])
+        )
+    return table
+
+
+def _color_maps(
+    ta: dict[tuple[int, int], list[int]], tb: dict[tuple[int, int], list[int]], k: int
+) -> Iterator[tuple[int, ...]]:
+    """Color maps carrying each pair's cycle lengths in ``ta`` onto ``tb``'s.
+
+    An isomorphism under ``cmap`` carries every {i,j}-bicolored cycle onto
+    a {cmap[i],cmap[j]}-cycle of the same length, so no other map admits
+    one.  ``cmap`` is extended one color at a time, candidates ascending,
+    each checked against the colors already mapped, and backtracks by
+    popping; maps come out in lexicographic order.
+    """
+    cmap: list[int] = []
+    x = 0  # the next candidate for color len(cmap)
+    while True:
+        p = len(cmap)
+        if p == k:
+            yield tuple(cmap)
+        if p == k or x == k:
+            if not cmap:
+                return
+            x = cmap.pop() + 1
+        elif x in cmap or any(ta[q, p] != tb[cmap[q], x] for q in range(p)):
+            x += 1
+        else:
+            cmap.append(x)
+            x = 0
 
 
 def isomorphic(
@@ -447,20 +474,26 @@ def isomorphic(
 
     ``a`` is BFS-labeled once per component, from its least vertex with
     the identity slot order.  Color maps are then tried in lexicographic
-    order (only the identity in color-fixed mode): for each, ``b`` is
-    BFS-labeled with the mapped slot order from each candidate start, and
-    a labeling is dropped at the first entry that differs from ``a``'s
-    encoding.  The returned ``color_map`` is therefore the
-    lexicographically first one admitting an isomorphism, whatever the
-    vertex labels; ``vertex_map`` is one valid witness for it, not a
-    canonical choice.  Disconnected graphs are matched component by
-    component.
+    order (only the identity in color-fixed mode), skipping those under
+    which some color pair's cycle lengths differ (``_color_maps``): for
+    each, ``b`` is BFS-labeled with the mapped slot order from each
+    candidate start, and a labeling is dropped at the first entry that
+    differs from ``a``'s encoding.  The returned ``color_map`` is
+    therefore the lexicographically first one admitting an isomorphism,
+    whatever the vertex labels; ``vertex_map`` is one valid witness for
+    it, not a canonical choice.  Disconnected graphs are matched
+    component by component.
     """
-    cmaps = _slot_orders(len(a.matchings), mode)
+    _check_mode(mode)
+    k = len(a.matchings)
     if a.dimension != b.dimension or a.vertex_count != b.vertex_count:
         return None
-    if _invariant_fingerprint(a, mode) != _invariant_fingerprint(b, mode):
+    if is_bipartite(a) != is_bipartite(b):
         return None
+    ta, tb = _pair_table(a), _pair_table(b)
+    if mode == "color-fixed" and ta != tb:
+        return None
+    cmaps = [tuple(range(k))] if mode == "color-fixed" else _color_maps(ta, tb, k)
     parts_a = [
         _bfs_labeling(a.matchings, comp[0])
         for comp in residue_components(a, a.colors).components
@@ -468,7 +501,7 @@ def isomorphic(
     for cmap in cmaps:
         vmap = _vertex_map(parts_a, [b.matchings[c] for c in cmap])
         if vmap is not None:
-            iso = Isomorphism(tuple(vmap), tuple(cmap))
+            iso = Isomorphism(tuple(vmap), cmap)
             assert iso.valid_between(a, b)
             return iso
     return None

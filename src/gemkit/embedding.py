@@ -12,6 +12,7 @@ no fractional type ever enters a computation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,15 +75,21 @@ def all_cyclic_permutations(d: int) -> list[CyclicPermutation]:
     """All canonical cyclic arrangements of 0..d, sorted; d!/2 for d >= 2."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
+    return list(_arrangements(d))
+
+
+@functools.lru_cache(maxsize=None)
+def _arrangements(d: int) -> tuple[CyclicPermutation, ...]:
+    """``all_cyclic_permutations(d)``, built and validated once per dimension."""
     if d == 1:
-        return [CyclicPermutation((0, 1))]
+        return (CyclicPermutation((0, 1)),)
     out = [
         CyclicPermutation((0,) + rest)
         for rest in itertools.permutations(range(1, d + 1))
         if rest[0] < rest[-1]
     ]
     out.sort(key=lambda e: e.order)
-    return out
+    return tuple(out)
 
 
 def _canonical_cyclic(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -192,7 +199,7 @@ def regular_genus(g: ColoredGraph) -> RegularGenus:
     table = _pair_cycles(g)
     rho2 = {
         eps: 2 - sum(table[pair][1] for pair in eps.pairs()) - (1 - d) * n // 2
-        for eps in all_cyclic_permutations(d)
+        for eps in _arrangements(d)
     }
     best = min(rho2.values())
     winners = tuple(eps for eps, r2 in rho2.items() if r2 == best)
@@ -271,13 +278,19 @@ def _signature(per_pair: Sequence[list[int]], bigons: str) -> Optional[TypeSigna
     """The signature all vertices share, given one face-length list per pair."""
     rows = zip(*per_pair)
     raw = next(rows)
-    first = _canonical_cyclic(raw)
-    if bigons == "exclude" and 2 in first:
+    if bigons == "exclude" and 2 in raw:
         return None
+    faces = sorted(raw)
+    first = None  # vertex 0's cyclic word, canonicalized once it is needed
     for row in rows:  # a row equal to vertex 0's is the same cyclic word
-        if row != raw and _canonical_cyclic(row) != first:
+        if row == raw:
+            continue
+        if sorted(row) != faces:  # a different multiset is a different word
             return None
-    return TypeSignature(first)
+        first = first or _canonical_cyclic(raw)
+        if _canonical_cyclic(row) != first:
+            return None
+    return TypeSignature(first or _canonical_cyclic(raw))
 
 
 @dataclass(frozen=True)
@@ -345,7 +358,7 @@ def semi_equivelar_report(
     orientable = is_bipartite(g)
     table = _pair_cycles(g)
     reports = []
-    for eps in all_cyclic_permutations(d):
+    for eps in _arrangements(d):
         lengths, gvals = zip(*(table[pair] for pair in eps.pairs()))
         chi = sum(gvals) + (1 - d) * n // 2
         sig = _signature(lengths, bigons)

@@ -17,12 +17,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gemkit.core import (  # noqa: E402
     ColoredGraph,
+    _color_maps,
+    _pair_table,
     canonical_form,
     canonical_labeling,
     isomorphic,
 )
 
-from helpers import random_matching, random_permutation  # noqa: E402
+from helpers import oracle_components, random_matching, random_permutation  # noqa: E402
 
 COLOR_MATCH = nx.algorithms.isomorphism.categorical_multiedge_match("color", None)
 MODES = ("color-fixed", "color-permuting")
@@ -114,6 +116,26 @@ def test_isomorphic_finds_first_color_map_by_brute_force(pair):
     if fixed is not None:
         assert fixed.color_map == tuple(range(k))
         assert_witness(fixed, a, b)
+
+
+def cycle_lengths(g: ColoredGraph, i: int, j: int) -> list[int]:
+    return sorted(len(comp) for comp in oracle_components(g, (i, j)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gem_pairs(connected=False))
+def test_color_maps_are_the_permutations_every_pair_allows(pair):
+    a, b = pair
+    k = a.dimension + 1
+    expected = [
+        cmap
+        for cmap in itertools.permutations(range(k))
+        if all(
+            cycle_lengths(a, i, j) == cycle_lengths(b, cmap[i], cmap[j])
+            for i, j in itertools.combinations(range(k), 2)
+        )
+    ]
+    assert list(_color_maps(_pair_table(a), _pair_table(b), k)) == expected
 
 
 @settings(max_examples=50, deadline=None)
