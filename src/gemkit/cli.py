@@ -11,6 +11,7 @@ family, exhausted budget), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -210,7 +211,14 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.lru_cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    It depends on no input and ``parse_args`` does not change it, so every
+    ``main`` call shares one; argparse writes help, usage and errors to the
+    ``sys.stdout``/``sys.stderr`` of the moment.
+    """
     top = argparse.ArgumentParser(
         prog="gemkit",
         description="generate, analyze and search edge-colored graphs encoding manifolds",

@@ -75,21 +75,29 @@ def all_cyclic_permutations(d: int) -> list[CyclicPermutation]:
     """All canonical cyclic arrangements of 0..d, sorted; d!/2 for d >= 2."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    return list(_arrangements(d))
+    return [eps for eps, _ in _arrangements(d)]
 
 
 @functools.lru_cache(maxsize=None)
-def _arrangements(d: int) -> tuple[CyclicPermutation, ...]:
-    """``all_cyclic_permutations(d)``, built and validated once per dimension."""
+def _arrangements(
+    d: int,
+) -> tuple[tuple[CyclicPermutation, tuple[tuple[int, int], ...]], ...]:
+    """``all_cyclic_permutations(d)`` with their ``pairs()``, built once per d.
+
+    The pair tuples are shared, one per ordered color pair, so each
+    arrangement adds only a tuple of d + 1 references to the cache.
+    """
     if d == 1:
-        return (CyclicPermutation((0, 1)),)
-    out = [
-        CyclicPermutation((0,) + rest)
-        for rest in itertools.permutations(range(1, d + 1))
-        if rest[0] < rest[-1]
-    ]
-    out.sort(key=lambda e: e.order)
-    return tuple(out)
+        out = [CyclicPermutation((0, 1))]
+    else:
+        out = [
+            CyclicPermutation((0,) + rest)
+            for rest in itertools.permutations(range(1, d + 1))
+            if rest[0] < rest[-1]
+        ]
+        out.sort(key=lambda e: e.order)
+    shared = {p: p for p in itertools.permutations(range(d + 1), 2)}
+    return tuple((eps, tuple(map(shared.get, eps.pairs()))) for eps in out)
 
 
 def _canonical_cyclic(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -198,8 +206,8 @@ def regular_genus(g: ColoredGraph) -> RegularGenus:
     n = g.vertex_count
     table = _pair_cycles(g)
     rho2 = {
-        eps: 2 - sum(table[pair][1] for pair in eps.pairs()) - (1 - d) * n // 2
-        for eps in _arrangements(d)
+        eps: 2 - sum(table[pair][1] for pair in pairs) - (1 - d) * n // 2
+        for eps, pairs in _arrangements(d)
     }
     best = min(rho2.values())
     winners = tuple(eps for eps, r2 in rho2.items() if r2 == best)
@@ -358,8 +366,8 @@ def semi_equivelar_report(
     orientable = is_bipartite(g)
     table = _pair_cycles(g)
     reports = []
-    for eps in _arrangements(d):
-        lengths, gvals = zip(*(table[pair] for pair in eps.pairs()))
+    for eps, pairs in _arrangements(d):
+        lengths, gvals = zip(*(table[pair] for pair in pairs))
         chi = sum(gvals) + (1 - d) * n // 2
         sig = _signature(lengths, bigons)
         reports.append(

@@ -16,7 +16,9 @@ Bicolored-cycle-length constraints propagate as paths merge, so most of the
 space is never visited.  A ``vertex_types`` spec is propagated too: each
 cycle of a cyclically consecutive color pair adds its length to a count at
 every vertex on it when it closes, and a vertex holding more cycles of one
-length than the multiset allows cuts the branch.  A bipartite-only spec
+length than the multiset allows cuts the branch.  The counts also bound
+each open path of such a pair: a path cannot outgrow the longest cycle
+that every vertex on it may still lie on.  A bipartite-only spec
 keeps a parity union-find over the vertices, and an edge that would close
 an odd cycle cuts the branch.  These cuts only drop branches whose leaves
 would all fail the leaf filter.
@@ -130,6 +132,7 @@ def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
     # 2L, for L the lcm of the face lengths, it holds in integers.
     lengths = range(4, q_max + 1, 2)
     lcm = math.lcm(*lengths)
+    weight = {q: 2 * lcm // q for q in lengths}
     out: list[TypeSolution] = []
     for dp in degrees:
         for combo in itertools.combinations_with_replacement(lengths, dp):
@@ -137,7 +140,7 @@ def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
             # is folded into the symbolic family.
             if chi > 0 and combo[:2] == (4, 4) and combo[2] > 4:
                 continue
-            r2 = (2 - dp) * lcm + sum(2 * lcm // q for q in combo)
+            r2 = (2 - dp) * lcm + sum(map(weight.__getitem__, combo))
             if r2 == 0:
                 if chi != 0:
                     continue
@@ -161,12 +164,24 @@ def _cyclic_arrangements(combo: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Distinct cyclic words (up to rotation and reflection) of a multiset.
 
     Every word has a rotation that starts with the least face, so only the
-    distinct orders of the other faces behind it are canonicalized.
+    distinct orders of the other faces behind it are canonicalized, each
+    once: the next-permutation step below visits them in lexicographic
+    order, never repeating one.
     """
     least, *rest = sorted(combo)
-    return sorted(
-        {_canonical_cyclic((least,) + p) for p in set(itertools.permutations(rest))}
-    )
+    words = set()
+    while True:
+        words.add(_canonical_cyclic((least, *rest)))
+        i = len(rest) - 2
+        while i >= 0 and rest[i] >= rest[i + 1]:
+            i -= 1
+        if i < 0:
+            return sorted(words)
+        j = len(rest) - 1
+        while rest[j] <= rest[i]:
+            j -= 1
+        rest[i], rest[j] = rest[j], rest[i]
+        rest[i + 1 :] = reversed(rest[i + 1 :])
 
 
 def _solution_sort_key(s: TypeSolution):
@@ -376,6 +391,20 @@ def _matching_dfs(
     one length than the multiset holds: every leaf below it would fail the
     leaf filter.
 
+    The same counts bound open paths (the room cut).  When color c opens a
+    tracked pair (j, c), a vertex v's room is the largest length f up to
+    the pair's longest allowed one that v may still take, i.e. with fewer
+    than the multiset's cycles of length f counted at v; each path end
+    holds the least room over its path.  The pair's cycle through v is
+    not closed yet, so its length is one of v's free lengths then and at
+    most v's room; it contains every vertex of v's path.  A merge whose
+    path (``plen[u] + plen[v] + 2`` vertices) exceeds the room at either
+    end therefore has no leaf that passes the vertex-type check, and is
+    cut.  Rooms are taken when the pair opens and only fall as paths
+    merge (set and undone with ``plen``); cycles closed later in the color
+    would lower them further, so they stay sound bounds.  A pair whose
+    rooms all equal its longest length keeps only the ``maxlen`` test.
+
     With ``spec.bipartite == "only"``, a parity union-find over the
     vertices, seeded from color 0, records which side of the bipartition
     each vertex takes relative to its root.  An edge whose ends already lie
@@ -403,6 +432,7 @@ def _matching_dfs(
         if f <= n:
             cap[f] += 1
     seen = [[0] * (n + 1) for _ in range(n)]
+    free_desc = sorted(set(spec.vertex_types or ()), reverse=True)
     everything = frozenset(range(2, n + 1, 2))
 
     # up[v] is v's parent in the parity union-find, flip[v] whether v sits
@@ -473,8 +503,22 @@ def _matching_dfs(
             for y in cycle:
                 seen[y][f] -= 1
 
+    def free_room(v: int, top: int) -> int:
+        """The longest cycle, up to top, that v may still lie on (0 if none)."""
+        for f in free_desc:
+            if f <= top and cap[f] > seen[v][f]:
+                return f
+        return 0
+
     def open_color(c: int) -> tuple:
         """Color c's empty matching, path states, tracked pairs and components.
+
+        A path state of pair (j, c) is (end, plen, lens, maxlen, room):
+        ``end`` pairs the two ends of each path, ``plen`` holds its edge
+        count at both ends, and for a tracked pair ``room`` holds at both
+        ends the least ``free_room`` over the path's vertices.  ``room`` is
+        None where no vertex's room is below ``maxlen``: there it cannot
+        cut more than ``maxlen`` does.
 
         For colors 1 and 2 the components of colors 0..c-1 (blocks, then
         alternating cycles) are numbered by least vertex: ``comp[v]`` is
@@ -491,9 +535,14 @@ def _matching_dfs(
             track = (j, c) in tracked
             if lens is not None or track:
                 lens = everything if lens is None else lens
-                states.append((list(mats[j]), [1] * n, lens, max(lens)))
+                end, top, room = list(mats[j]), max(lens), None
                 if track:
-                    tracks.append((states[-1][0], mats[j]))
+                    tracks.append((end, mats[j]))
+                    r = [free_room(v, top) for v in range(n)]
+                    room = [min(r[v], r[w]) for v, w in enumerate(mats[j])]
+                    if min(room) >= top:
+                        room = None
+                states.append((end, [1] * n, lens, top, room))
         if c > 2:
             return c, m, states, tracks, [0] * n, [n], [0], [1]
         comp = [-1] * n
@@ -519,9 +568,11 @@ def _matching_dfs(
         c, m, states, tracks, comp, comp_size, least, touched = color
         ku = comp[u]
         if m[u] >= 0:  # undo the edge uv this frame placed
-            for end, plen, a, b in merged:
+            for end, plen, room, a, b in merged:
                 end[a], end[b] = u, v
                 plen[a], plen[b] = plen[u], plen[v]
+                if room is not None:
+                    room[a], room[b] = room[u], room[v]
             m[u] = m[v] = -1
             touched[ku] -= 1
             touched[comp[v]] -= 1
@@ -542,12 +593,14 @@ def _matching_dfs(
             ):
                 continue  # not the orbit's least vertex
             closes = False
-            for end, plen, lens, maxlen in states:
+            for end, plen, lens, maxlen, room in states:
                 if end[u] == v:
                     if plen[u] + 1 not in lens:
                         break
                     closes = True
-                elif plen[u] + plen[v] + 2 > maxlen:
+                elif (verts := plen[u] + plen[v] + 2) > maxlen or room is not None and (
+                    verts > room[u] or verts > room[v]
+                ):
                     break
             else:  # no path cut: try the parity and vertex-type cuts
                 hung = -1
@@ -567,12 +620,14 @@ def _matching_dfs(
         touched[ku] += 1
         touched[comp[v]] += 1
         merged = []
-        for end, plen, lens, maxlen in states:
+        for end, plen, lens, maxlen, room in states:
             if end[u] != v:
                 a, b = end[u], end[v]
                 end[a], end[b] = b, a
                 plen[a] = plen[b] = plen[u] + plen[v] + 1
-                merged.append((end, plen, a, b))
+                if room is not None:
+                    room[a] = room[b] = room[u] if room[u] < room[v] else room[v]
+                merged.append((end, plen, room, a, b))
         frames[-1] = (u, v, last, color, merged, counted, hung)
         if -1 in m:
             u = m.index(-1)

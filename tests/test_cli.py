@@ -70,6 +70,19 @@ def test_usage_error_exit_code(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_and_prints_like_a_fresh_one(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    fresh = cli._build_parser.__wrapped__()
+    for argv in (["--help"], ["search", "--help"], ["types"], ["frobnicate"]):
+        texts = []
+        for parser in (cli._build_parser(), fresh, cli._build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            texts.append((exc.value.code, capsys.readouterr()))
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0][0] == (0 if "--help" in argv else 2)
+
+
 def test_pipeline_gen_analyze(capsys, monkeypatch):
     _, gem_json, _ = run(capsys, monkeypatch, ["gen", "lens", "--p", "2", "--q", "1", "--k", "2"])
     code, out, _ = run(capsys, monkeypatch, ["analyze"], stdin=gem_json)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gemkit import embedding
 from gemkit.core import ColoredGraph, NotConnectedError
 from gemkit.embedding import (
     CyclicPermutation,
@@ -50,6 +51,19 @@ def test_cyclic_permutation_counts(d, count):
     perms = all_cyclic_permutations(d)
     assert len(perms) == count
     assert perms == sorted(perms, key=lambda e: e.order)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_cached_arrangements_carry_their_pairs(d):
+    # The cache hands each arrangement out with its consecutive pairs; they
+    # equal pairs(), which still builds them from the order alone.
+    cached = embedding._arrangements(d)
+    assert [eps for eps, _ in cached] == all_cyclic_permutations(d)
+    for eps, pairs in cached:
+        k = len(eps.order)
+        assert pairs == eps.pairs() == tuple(
+            (eps.order[i], eps.order[(i + 1) % k]) for i in range(k)
+        )
 
 
 def test_cyclic_permutations_d3_explicit():

@@ -385,6 +385,53 @@ def _counted_dfs(spec):
     return hits, reached
 
 
+# Specs where the room cut prunes most of the DFS: each open path is bounded
+# by the longest cycle its vertices may still lie on.  Count and SHA-256 of
+# the hit list (as above), leaves reached and classes, pinned from the
+# search without that cut.  The cut drops only branches that would reach no
+# leaf (the cycle counts cut them when the cycle closes), so the number of
+# leaves is pinned too.
+ROOM_CUT_HIT_LISTS = [
+    (
+        SearchSpec(colors=3, order=20, vertex_types=(4, 4, 10)),
+        3,
+        "983e587fd1738bcba37557ea23e6acc172a74dd6bbe4ca66fc33abdc8f394084",
+        3,
+        1,
+    ),
+    (
+        SearchSpec(colors=3, order=16, vertex_types=(4, 6, 8)),
+        0,
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        0,
+        0,
+    ),
+    (
+        SearchSpec(colors=4, order=12, vertex_types=(4, 4, 6, 6)),
+        3072,
+        "0e051d3b21a881fa50cd65b61bdcfe57f73b6779d969b4f6742f1c61b1373a84",
+        3072,
+        None,  # 57 classes; deduplicating 3,072 hits takes about a second
+    ),
+    (
+        SearchSpec(colors=3, order=24, vertex_types=(4, 6, 12), bipartite="only"),
+        18,
+        "999e8fad33adfc3410cf36d43d20ff331c353d4916af8d56be5a5737f5433447",
+        98,
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, count, digest, leaves, classes", ROOM_CUT_HIT_LISTS)
+def test_room_cut_hit_lists_pinned(spec, count, digest, leaves, classes):
+    hits, reached = _counted_dfs(spec)
+    now = [[list(m) for m in g.matchings] for g in hits]
+    assert (len(now), _json_digest(now), len(reached)) == (count, digest, leaves)
+    if classes is not None:
+        assert len(search._dedup_canonical(hits)) == classes
+
+
 def test_vertex_types_prune_inside_the_dfs():
     # (4,6,12)/12: the per-vertex cycle counts cut every branch whose
     # leaves would fail the vertex-type check, so every leaf reached is a
