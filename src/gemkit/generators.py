@@ -3,21 +3,21 @@
 Every generator validates its output against the family's characterizing
 invariants (order, residue counts, face-cycle type, Euler characteristic,
 orientability, homology) before returning; getting a graph back means all
-checks passed.  Every family is built in closed form; only the catalog's
-tori and Klein bottles are found by a search.  Built graphs are kept in a
-process-wide cache guarded by a lock; cached graphs are immutable, so
+checks passed.  Every family is built in closed form; each of the
+catalog's tori and Klein bottles is the first hit of one direct 3-color
+search for its order, face type and orientability.  Built graphs are kept
+in a process-wide cache guarded by a lock; cached graphs are immutable, so
 concurrent generation is safe.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ColoredGraph, component_index, is_bipartite, is_contracted, residue_count
+from .core import ColoredGraph, is_bipartite, is_contracted, residue_count
 from .embedding import (
     CyclicPermutation,
     TypeSignature,
@@ -478,94 +478,6 @@ def _moebius_projective(p: int) -> ColoredGraph:
     return ColoredGraph([m0, _antipodal(2 * p), m2])
 
 
-def _searched_torus_like(
-    name: str, order: int, faces: tuple[int, ...], want_bipartite: bool
-) -> ColoredGraph:
-    uniform = len(set(faces)) == 1
-    spec = _search.SearchSpec(
-        colors=3,
-        order=order,
-        pair_lengths={(0, 1): (faces[0],), (0, 2): (faces[0],), (1, 2): (faces[0],)}
-        if uniform
-        else None,
-        vertex_types=None if uniform else faces,
-        bipartite="only" if want_bipartite else "none",
-        bigons="exclude",
-    )
-    g = _search.first_gem(spec)
-    if g is None:
-        raise FamilyValidationError(f"catalog search for {name} found nothing")
-    return g
-
-
-def _gf2_nullspace(rows: list[int], width: int) -> list[int]:
-    """Basis of the kernel of a GF(2) system given as row bitmasks."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                break
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        vec = 1 << free
-        for lead in sorted(pivots):
-            rest = pivots[lead] ^ (1 << lead)
-            if (rest & vec).bit_count() & 1:
-                vec |= 1 << lead
-        basis.append(vec)
-    return basis
-
-
-def _face_trivial_double_cover(g: ColoredGraph, want_bipartite: bool) -> ColoredGraph:
-    """Connected double cover on which every bicolored cycle keeps its length.
-
-    Edges get voltages in Z_2 summing to zero around each bicolored cycle,
-    so cycles lift at their own length; the voltage classes then correspond
-    to the surface's double covers, and a connected one of the requested
-    orientability is picked deterministically.
-    """
-    n = g.vertex_count
-    edges = list(g.edges())
-    rows = []
-    for pair in itertools.combinations(g.colors, 2):
-        # one row per bicolored cycle, in order of its least vertex
-        idx, count = component_index(g, pair)
-        cycle_rows = [0] * count
-        for i, (u, _, c) in enumerate(edges):
-            if c in pair:
-                cycle_rows[idx[u]] ^= 1 << i
-        rows += cycle_rows
-    basis = _gf2_nullspace(rows, len(edges))
-
-    def cover_for(alpha: int) -> ColoredGraph:
-        mats = [[-1] * (2 * n) for _ in g.colors]
-        for i, (u, v, c) in enumerate(edges):
-            w = (alpha >> i) & 1
-            for s in (0, 1):
-                x, y = u + s * n, v + ((s + w) % 2) * n
-                mats[c][x] = y
-                mats[c][y] = x
-        return ColoredGraph(mats)
-
-    for size in range(1, min(3, len(basis)) + 1):
-        for combo in itertools.combinations(range(len(basis)), size):
-            alpha = 0
-            for i in combo:
-                alpha ^= basis[i]
-            cover = cover_for(alpha)
-            if cover.is_connected() and is_bipartite(cover) == want_bipartite:
-                return cover
-    raise FamilyValidationError(
-        "no connected double cover with the requested orientability"
-    )
-
-
 # The parameter of a parametric entry built without one.
 _DEFAULT_P = {"rp2-4.4.2p": 4, "s2-4.4.p": 6}
 
@@ -582,15 +494,18 @@ def _build_catalog_gem(entry: CatalogEntry, p: Optional[int]) -> ColoredGraph:
         return _prism_sphere(p)
     if name == "s2-6.6.4":
         return ColoredGraph(_S2_664)
-    # The tori and Klein bottles are searched for by their caption.
-    faces = _catalog_faces(entry, p)
-    if faces == (4, 6, 12):
-        # A direct order-24 search also takes about 2 ms, but finds another
-        # labeling; the double cover of an order-12 witness is kept because
-        # its matchings are the pinned catalog entries.
-        base = _searched_torus_like(name, 12, faces, entry.orientable)
-        return _face_trivial_double_cover(base, want_bipartite=entry.orientable)
-    return _searched_torus_like(name, entry.order, faces, entry.orientable)
+    # Each torus and Klein bottle is the first hit of a search by its caption.
+    spec = _search.SearchSpec(
+        colors=3,
+        order=entry.order,
+        vertex_types=_catalog_faces(entry, p),
+        bipartite="only" if entry.orientable else "none",
+        bigons="exclude",
+    )
+    g = _search.first_gem(spec)
+    if g is None:
+        raise FamilyValidationError(f"catalog search for {name} found nothing")
+    return g
 
 
 _CATALOG: dict[str, CatalogEntry] = {

@@ -414,9 +414,12 @@ def _matching_dfs(
     keeps each undo to two entries.
 
     Returns the surviving graphs and whether the space was fully explored
-    (``limit`` stops it after that many hits).  A pair allowed no length at
-    all has no gem: the search is complete and empty.
+    (``limit`` stops it after that many hits; below 1 it raises
+    ``ValueError``).  A pair allowed no length at all has no gem: the search
+    is complete and empty.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     n, num_colors = spec.order, spec.colors
     allowed = _allowed_map(spec)
     if any(lens is not None and not lens for lens in allowed.values()):
@@ -771,10 +774,11 @@ def search_report(
 ) -> SearchReport:
     """Run a search and package the outcome for serialization.
 
-    ``limit`` stops the search after that many raw hits, before
-    deduplication.  The orbit rule of ``_matching_dfs`` drops most
-    automorphic copies, so for ``limit`` >= 2 those raw hits hold fewer
-    duplicates of one class than the labeled hits would.
+    ``limit`` (at least 1; a smaller one raises ``ValueError``) stops the
+    search after that many raw hits, before deduplication.  The orbit rule
+    of ``_matching_dfs`` drops most automorphic copies, so for ``limit`` >= 2
+    those raw hits hold fewer duplicates of one class than the labeled hits
+    would.
     """
     _check_budget(spec.order, max_order)
     hits, exhaustive = _run_search(spec, limit=limit)

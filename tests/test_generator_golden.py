@@ -6,6 +6,11 @@ returns.  Generated gems are written to files and compared across
 versions, so a rewrite of a constructor has to reproduce them byte for
 byte.  A mismatch here means a family now builds a different graph, not
 that the pins need refreshing.
+
+The two (4,6,12) catalog entries were re-pinned once, when they became the
+first hits of a direct order-24 search instead of double covers of an
+order-12 gem; ``PREVIOUS_4_6_12`` keeps the old matchings and checks that
+the new ones label the same gems.
 """
 
 import hashlib
@@ -14,6 +19,7 @@ import json
 import pytest
 
 from gemkit import generators
+from gemkit.core import ColoredGraph, isomorphic
 
 GOLDEN = {
     ('rp2_sum_gem', 1): "21744bbd2a45e10be51a5c435b56ed562f742f88c4b53252b13fe8c3bc5c9e6c",
@@ -107,10 +113,10 @@ GOLDEN = {
     ('catalog', 's2-6.6.4'): "cdb77b92f16025e18161f4dcb74f618e78cefef7cb6504e666b73f4b4aea01f6",
     ('catalog', 'torus-6.6.6'): "fac648fca07c539471d71f69616f1a888e45fe6f84bd183b03a972e12f2f1fa1",
     ('catalog', 'torus-4.8.8'): "4e646a6c7c4c65ddb817933a7e17d1d62d66e2af148c5a39bb262e9abd4f0490",
-    ('catalog', 'torus-4.6.12'): "b80ee1c1a7bb3a906826c12bf31dfff29fca1b9e3d5dcaa312a5449522915acc",
+    ('catalog', 'torus-4.6.12'): "ced0f8b707dae9e41a88b687773e0b1b17f442823dbbe07722f621a7fc99f65a",
     ('catalog', 'klein-6.6.6'): "104e82cb86d8341921ad5b16c8c83935898e54491b6ce71181eb13a5c2fcab41",
     ('catalog', 'klein-4.8.8'): "c37a2e75840d45177c6177a724778cd0eb2af2fac52ed654b376a3bd12a71fd9",
-    ('catalog', 'klein-4.6.12'): "8aa54724a7c5f867a70de82ab57bb3e004b3a4dcea7c69cef2b98e6f146ed752",
+    ('catalog', 'klein-4.6.12'): "ab715d519add962b2b0483d3a7ae56a495440a1b78da5843b2bd37de9ffc5eae",
     ('catalog', 'rp2-4.4.2p', 2): "1d3d0a3489c0302c632b7dc40714d0fdddeb7100f228c2a0c0f6932126267b1c",
     ('catalog', 'rp2-4.4.2p', 4): "6815c4ae8a23bad6c79079f2430acb43ed2bb8c65ba77563584b86f7e46ceac9",
     ('catalog', 'rp2-4.4.2p', 6): "f43f6620418a8dcf906b8a68e1a450e98de5ffa5d0a44cf00294c00a79f3bb62",
@@ -142,10 +148,47 @@ GOLDEN = {
 }
 
 
+# The matchings of the two (4,6,12) entries as the double-cover detour built
+# them, with the SHA-256 they were pinned at.
+PREVIOUS_4_6_12 = {
+    "torus-4.6.12": (
+        "b80ee1c1a7bb3a906826c12bf31dfff29fca1b9e3d5dcaa312a5449522915acc",
+        [
+            [13, 12, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 1, 0, 15, 14, 17, 16, 19, 18, 21, 20, 23, 22],
+            [3, 14, 13, 0, 6, 7, 4, 5, 10, 11, 8, 9, 15, 2, 1, 12, 18, 19, 16, 17, 22, 23, 20, 21],
+            [4, 8, 7, 11, 0, 21, 10, 2, 1, 17, 6, 3, 16, 20, 19, 23, 12, 9, 22, 14, 13, 5, 18, 15],
+        ],
+    ),
+    "klein-4.6.12": (
+        "8aa54724a7c5f867a70de82ab57bb3e004b3a4dcea7c69cef2b98e6f146ed752",
+        [
+            [1, 0, 15, 14, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 3, 2, 17, 16, 19, 18, 21, 20, 23, 22],
+            [3, 14, 13, 0, 6, 7, 4, 5, 10, 11, 8, 9, 15, 2, 1, 12, 18, 19, 16, 17, 22, 23, 20, 21],
+            [2, 4, 0, 17, 1, 15, 8, 11, 6, 10, 9, 7, 14, 16, 12, 5, 13, 3, 20, 23, 18, 22, 21, 19],
+        ],
+    ),
+}
+
+
+def _digest(matchings) -> str:
+    return hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", PREVIOUS_4_6_12)
+def test_repinned_catalog_entries_relabel_the_previous_gems(name):
+    digest, matchings = PREVIOUS_4_6_12[name]
+    assert _digest(matchings) == digest
+    old = ColoredGraph(matchings)
+    new = generators.catalog(name)
+    witness = isomorphic(old, new, "color-fixed")
+    assert witness is not None
+    assert witness.valid_between(old, new)
+
+
 @pytest.mark.parametrize(
     "key", GOLDEN, ids=[f"{k[0]}{k[1:]}".replace(",)", ")") for k in GOLDEN]
 )
 def test_generator_output_pinned(key):
     name, *args = key
     g = getattr(generators, name)(*args)
-    assert hashlib.sha256(json.dumps(g.matchings).encode()).hexdigest() == GOLDEN[key]
+    assert _digest(g.matchings) == GOLDEN[key]

@@ -11,6 +11,7 @@ from gemkit.embedding import (
 )
 from gemkit.complexes import homology, manifold_check, sphere_profile
 from gemkit import generators
+from gemkit.search import SearchSpec, first_gem
 from gemkit.generators import (
     FamilyValidationError,
     catalog,
@@ -294,6 +295,24 @@ def test_catalog_flat_surfaces(name, order, chi, orientable_):
     assert euler_characteristic(g, EPS3) == chi
     assert is_bipartite(g) == orientable_
     assert manifold_check(g).ok
+
+
+@pytest.mark.parametrize(
+    "name,order,faces,bipartite",
+    [
+        ("torus-6.6.6", 12, (6, 6, 6), "only"),
+        ("torus-4.8.8", 16, (4, 8, 8), "only"),
+        ("torus-4.6.12", 24, (4, 6, 12), "only"),
+        ("klein-6.6.6", 12, (6, 6, 6), "none"),
+        ("klein-4.8.8", 16, (4, 8, 8), "none"),
+        ("klein-4.6.12", 24, (4, 6, 12), "none"),
+    ],
+)
+def test_catalog_surface_is_the_first_hit_of_one_direct_search(name, order, faces, bipartite):
+    spec = SearchSpec(
+        colors=3, order=order, vertex_types=faces, bipartite=bipartite, bigons="exclude"
+    )
+    assert catalog(name).matchings == first_gem(spec).matchings
 
 
 def test_catalog_parameter_validation():

@@ -607,6 +607,13 @@ def test_search_limit_marks_nonexhaustive():
     assert len(report.gems) == 1
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_search_limit_below_one_is_rejected(limit):
+    spec = SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12))
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        search_report(spec, limit=limit)
+
+
 def test_first_gem_none_when_empty():
     spec = SearchSpec(colors=3, order=12, vertex_types=(4, 6, 6), chi=1)
     assert first_gem(spec) is None
