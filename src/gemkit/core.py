@@ -430,19 +430,21 @@ def canonical_form(g: ColoredGraph, mode: str = "color-fixed") -> bytes:
 
 
 def _pair_table(g: ColoredGraph) -> dict[tuple[int, int], list[int]]:
-    """Sorted bicolored cycle lengths of every color pair, keyed both ways."""
+    """Per-vertex bicolored cycle lengths of every color pair, keyed both ways.
+
+    Each pair is walked once; both orders of a pair share one list, since
+    cycle lengths do not depend on the order.
+    """
     table = {}
     for i, j in itertools.combinations(g.colors, 2):
-        table[i, j] = table[j, i] = sorted(
-            bicolored_cycle_lengths(g.matchings[i], g.matchings[j])
-        )
+        table[i, j] = table[j, i] = bicolored_cycle_lengths(g.matchings[i], g.matchings[j])
     return table
 
 
 def _color_maps(
     ta: dict[tuple[int, int], list[int]], tb: dict[tuple[int, int], list[int]], k: int
 ) -> Iterator[tuple[int, ...]]:
-    """Color maps carrying each pair's cycle lengths in ``ta`` onto ``tb``'s.
+    """Color maps carrying each pair's sorted cycle lengths in ``ta`` onto ``tb``'s.
 
     An isomorphism under ``cmap`` carries every {i,j}-bicolored cycle onto
     a {cmap[i],cmap[j]}-cycle of the same length, so no other map admits
@@ -490,7 +492,7 @@ def isomorphic(
         return None
     if is_bipartite(a) != is_bipartite(b):
         return None
-    ta, tb = _pair_table(a), _pair_table(b)
+    ta, tb = ({pair: sorted(ls) for pair, ls in _pair_table(g).items()} for g in (a, b))
     if mode == "color-fixed" and ta != tb:
         return None
     cmaps = [tuple(range(k))] if mode == "color-fixed" else _color_maps(ta, tb, k)

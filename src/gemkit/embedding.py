@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     ColoredGraph,
     NotConnectedError,
+    _pair_table,
     bicolored_cycle_lengths,
     is_bipartite,
 )
@@ -204,9 +205,9 @@ def regular_genus(g: ColoredGraph) -> RegularGenus:
         raise NotConnectedError("regular genus needs a connected graph")
     d = g.dimension
     n = g.vertex_count
-    table = _pair_cycles(g)
+    gvals = _g_values(_pair_table(g))
     rho2 = {
-        eps: 2 - sum(table[pair][1] for pair in pairs) - (1 - d) * n // 2
+        eps: 2 - sum(gvals[pair] for pair in pairs) - (1 - d) * n // 2
         for eps, pairs in _arrangements(d)
     }
     best = min(rho2.values())
@@ -239,16 +240,16 @@ def _cycle_count(lengths: list[int]) -> int:
     return sum(lengths.count(f) // f for f in set(lengths))
 
 
-def _pair_cycles(g: ColoredGraph) -> dict[tuple[int, int], tuple[list[int], int]]:
-    """Face lengths per vertex and g-value of every color pair, each walked once.
+def _g_values(table: dict[tuple[int, int], list[int]]) -> dict[tuple[int, int], int]:
+    """The g-value of every pair of a ``_pair_table``, keyed both ways.
 
-    Both orders of a pair key the entry; cycle lengths do not depend on them.
+    Each pair is counted once; both of its keys share the count.
     """
-    table: dict[tuple[int, int], tuple[list[int], int]] = {}
-    for a, b in itertools.combinations(g.colors, 2):
-        lengths = bicolored_cycle_lengths(g.matchings[a], g.matchings[b])
-        table[a, b] = table[b, a] = (lengths, _cycle_count(lengths))
-    return table
+    gvals = {}
+    for (a, b), lengths in table.items():
+        if a < b:
+            gvals[a, b] = gvals[b, a] = _cycle_count(lengths)
+    return gvals
 
 
 def face_multisets_uniform(g: ColoredGraph, eps: CyclicPermutation) -> bool:
@@ -364,15 +365,14 @@ def semi_equivelar_report(
     d = g.dimension
     n = g.vertex_count
     orientable = is_bipartite(g)
-    table = _pair_cycles(g)
+    table = _pair_table(g)
+    gvals = _g_values(table)
     reports = []
     for eps, pairs in _arrangements(d):
-        lengths, gvals = zip(*(table[pair] for pair in pairs))
-        chi = sum(gvals) + (1 - d) * n // 2
-        sig = _signature(lengths, bigons)
-        reports.append(
-            EmbeddingReport(eps, gvals, chi, 2 - chi, orientable, sig, bigons)
-        )
+        gv = tuple(gvals[pair] for pair in pairs)
+        chi = sum(gv) + (1 - d) * n // 2
+        sig = _signature([table[pair] for pair in pairs], bigons)
+        reports.append(EmbeddingReport(eps, gv, chi, 2 - chi, orientable, sig, bigons))
     reports.sort(key=lambda r: (r.rho_times_2, r.epsilon.order))
     qualifying = [r for r in reports if r.signature is not None]
     best = qualifying[0].rho_times_2 if qualifying else None

@@ -3,11 +3,11 @@
 Every generator validates its output against the family's characterizing
 invariants (order, residue counts, face-cycle type, Euler characteristic,
 orientability, homology) before returning; getting a graph back means all
-checks passed.  Every family is built in closed form; each of the
-catalog's tori and Klein bottles is the first hit of one direct 3-color
-search for its order, face type and orientability.  Built graphs are kept
-in a process-wide cache guarded by a lock; cached graphs are immutable, so
-concurrent generation is safe.
+checks passed.  Every family and both parametric catalog entries are
+built in closed form; every fixed catalog entry is the first hit of one
+direct 3-color search for its order, face type and orientability.  Built
+graphs are kept in a process-wide cache guarded by a lock; cached graphs
+are immutable, so concurrent generation is safe.
 """
 
 from __future__ import annotations
@@ -294,9 +294,6 @@ def _antipodal(n: int) -> list[int]:
     return [(v + n // 2) % n for v in range(n)]
 
 
-_RP2_N2_THIRD = [3, 5, 4, 0, 2, 1]  # the order-6 Klein bottle gem's matching
-
-
 def rp2_sum_gem(n: int) -> ColoredGraph:
     """Non-bipartite surface gem of the n-fold projective plane sum.
 
@@ -306,23 +303,18 @@ def rp2_sum_gem(n: int) -> ColoredGraph:
     (0 2), (1 4), (3 6), ..., (2t-1 2t+2), ..., (2n-1 2n+1); the edge (0 2)
     closes an odd cycle.  It is the lexicographically least third matching
     that makes the pairs {0,2} and {1,2} Hamiltonian and the gem
-    non-bipartite (the tests check this by brute force for n = 1, 3, 4
-    and 5).  For n = 2 a fixed known matching is used since the order is
-    not forced there.
+    non-bipartite (the tests check this by brute force for n = 1..5).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
 
     def build() -> ColoredGraph:
         size = 2 * n + 2
-        if n == 2:
-            m2 = _RP2_N2_THIRD
-        else:
-            m2 = [-1] * size
-            rungs = [(t, t + 3) for t in range(1, size - 4, 2)]
-            for a, b in [(0, 2), *rungs, (size - 3, size - 1)]:
-                m2[a] = b
-                m2[b] = a
+        m2 = [-1] * size
+        rungs = [(t, t + 3) for t in range(1, size - 4, 2)]
+        for a, b in [(0, 2), *rungs, (size - 3, size - 1)]:
+            m2[a] = b
+            m2[b] = a
         g = ColoredGraph([*_base_cycle(size), m2])
         fam = f"rp2_sum_gem({n})"
         for pair in ((0, 1), (0, 2), (1, 2)):
@@ -360,9 +352,11 @@ def sphere_times_circle_gem(d: int, twisted: bool = False) -> ColoredGraph:
 
     2(d+1) vertices in d+1 blocks; block t carries d-1 parallel edges
     missing the colors t-1 and t, consecutive blocks are joined by color-t
-    connectors, and the final color-d pair closes the ring either straight
-    or crossed, whichever produces the requested orientability.  Under the
-    identity arrangement every vertex sees three hexagons and d-2 bigons.
+    connectors, and the final color-d pair closes the ring straight (a to a,
+    b to b) or crossed.  The straight closure is orientable exactly when d
+    is odd, so the ring is crossed when that differs from the requested
+    orientability.  Under the identity arrangement every vertex sees three
+    hexagons and d-2 bigons.
     """
     if d < 3:
         raise ValueError("dimension must be at least 3")
@@ -377,35 +371,26 @@ def sphere_times_circle_gem(d: int, twisted: bool = False) -> ColoredGraph:
         def b(t: int) -> int:
             return 2 * (t % count) + 1
 
-        def matchings(crossed: bool) -> list[list[int]]:
-            m = [[-1] * n for _ in range(count)]
-            for t in range(count):
-                bundle = set(range(count)) - {(t - 1) % count, t}
-                for c in bundle:
-                    m[c][a(t)] = b(t)
-                    m[c][b(t)] = a(t)
-            for t in range(d):
-                m[t][a(t)] = a(t + 1)
-                m[t][a(t + 1)] = a(t)
-                m[t][b(t)] = b(t + 1)
-                m[t][b(t + 1)] = b(t)
-            if crossed:
-                m[d][a(d)] = b(0)
-                m[d][b(0)] = a(d)
-                m[d][b(d)] = a(0)
-                m[d][a(0)] = b(d)
-            else:
-                m[d][a(d)] = a(0)
-                m[d][a(0)] = a(d)
-                m[d][b(d)] = b(0)
-                m[d][b(0)] = b(d)
-            return m
-
-        straight = ColoredGraph(matchings(crossed=False))
-        if is_bipartite(straight) != twisted:
-            g = straight
-        else:
-            g = ColoredGraph(matchings(crossed=True))
+        m = [[-1] * n for _ in range(count)]
+        for t in range(count):
+            bundle = set(range(count)) - {(t - 1) % count, t}
+            for c in bundle:
+                m[c][a(t)] = b(t)
+                m[c][b(t)] = a(t)
+        for t in range(d):
+            m[t][a(t)] = a(t + 1)
+            m[t][a(t + 1)] = a(t)
+            m[t][b(t)] = b(t + 1)
+            m[t][b(t + 1)] = b(t)
+        # Each block edge and connector flips the side of a 2-coloring, so
+        # the straight closure is bipartite exactly when the ring of d + 1
+        # blocks is even.
+        crossed = (d % 2 == 0) != twisted
+        ends = (b(0), a(0)) if crossed else (a(0), b(0))
+        for u, w in zip((a(d), b(d)), ends):
+            m[d][u] = w
+            m[d][w] = u
+        g = ColoredGraph(m)
         fam = f"sphere_times_circle_gem({d}, twisted={twisted})"
         _expect(g.vertex_count == n, fam, "order must be 2(d+1)")
         _expect(g.is_connected(), fam, "graph must be connected")
@@ -454,15 +439,6 @@ class CatalogEntry:
         }
 
 
-# Hand-checked matchings of the 24-vertex sphere gem whose faces are two
-# hexagon families and one square family.
-_S2_664 = (
-    (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 23, 20, 19, 22, 21, 18),
-    (5, 2, 1, 4, 3, 0, 17, 18, 19, 10, 9, 20, 21, 14, 13, 22, 23, 6, 7, 8, 11, 12, 15, 16),
-    (17, 14, 13, 10, 9, 6, 5, 8, 7, 4, 3, 12, 11, 2, 1, 16, 15, 0, 19, 18, 21, 20, 23, 22),
-)
-
-
 def _prism_sphere(p: int) -> ColoredGraph:
     """Two cycles of length p with 0/2 alternation, joined rung by rung."""
     if p < 4 or p % 2:
@@ -483,18 +459,9 @@ _DEFAULT_P = {"rp2-4.4.2p": 4, "s2-4.4.p": 6}
 
 
 def _build_catalog_gem(entry: CatalogEntry, p: Optional[int]) -> ColoredGraph:
-    name = entry.name
-    if name == "rp2-4.4.4":
-        return rp2_sum_gem(1)
-    if name == "s2-4.4.4":
-        return _prism_sphere(4)
-    if name == "rp2-4.4.2p":
-        return _moebius_projective(p)
-    if name == "s2-4.4.p":
-        return _prism_sphere(p)
-    if name == "s2-6.6.4":
-        return ColoredGraph(_S2_664)
-    # Each torus and Klein bottle is the first hit of a search by its caption.
+    if entry.parametric:  # the projective plane or the sphere, in closed form
+        return (_prism_sphere if entry.orientable else _moebius_projective)(p)
+    # Every fixed entry is the first hit of a search by its caption.
     spec = _search.SearchSpec(
         colors=3,
         order=entry.order,
@@ -504,7 +471,7 @@ def _build_catalog_gem(entry: CatalogEntry, p: Optional[int]) -> ColoredGraph:
     )
     g = _search.first_gem(spec)
     if g is None:
-        raise FamilyValidationError(f"catalog search for {name} found nothing")
+        raise FamilyValidationError(f"catalog search for {entry.name} found nothing")
     return g
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
@@ -257,6 +257,10 @@ class SearchSpec:
         """Build a spec from its JSON object; ValueError on malformed input."""
         if not isinstance(data, Mapping):
             raise ValueError("search spec must be a JSON object")
+        known = {f.name for f in fields(cls)}  # the keys to_json_dict emits
+        for key in data:
+            if key not in known:
+                raise ValueError(f"search spec has unknown key {key!r}")
         for key in ("colors", "order"):
             if key not in data:
                 raise ValueError(f"search spec is missing key {key!r}")

@@ -288,6 +288,7 @@ def test_analyze_rejects_non_integer_gem_fields(capsys, monkeypatch, gem, needle
             {"colors": 3, "order": 12, "pair_lengths": {"01": [4], "10": [6]}},
             "color pair 01 is given twice",
         ),
+        ({"colors": 3, "order": 8, "vertex_type": [4, 4, 4]}, "unknown key 'vertex_type'"),
     ],
 )
 def test_search_rejects_malformed_spec(capsys, monkeypatch, tmp_path, spec, needle):

@@ -16,8 +16,8 @@ from gemkit.embedding import (
     semi_equivelar_report,
     semi_equivelar_type,
 )
-from gemkit.core import component_index
-from gemkit.embedding import _pair_cycles
+from gemkit.core import _pair_table, component_index
+from gemkit.embedding import _g_values
 from gemkit.generators import (
     catalog,
     lens_gem,
@@ -379,11 +379,14 @@ def test_genus_parity_on_manifold_gems():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_pair_cycles_count_components(d):
     g = random_gem(random.Random(d), d, 12)
-    table = _pair_cycles(g)
-    assert len(table) == d * (d + 1)
-    for (a, b), (lengths, count) in table.items():
-        assert count == component_index(g, (a, b))[1]
-        assert table[b, a] == (lengths, count)
+    table = _pair_table(g)
+    counts = _g_values(table)
+    assert len(table) == len(counts) == d * (d + 1)
+    for (a, b), lengths in table.items():
+        idx, count = component_index(g, (a, b))
+        assert lengths == [idx.count(i) for i in idx]  # each vertex's cycle length
+        assert counts[a, b] == count
+        assert table[b, a] == lengths and counts[b, a] == counts[a, b]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])

@@ -7,10 +7,13 @@ versions, so a rewrite of a constructor has to reproduce them byte for
 byte.  A mismatch here means a family now builds a different graph, not
 that the pins need refreshing.
 
-The two (4,6,12) catalog entries were re-pinned once, when they became the
-first hits of a direct order-24 search instead of double covers of an
-order-12 gem; ``PREVIOUS_4_6_12`` keeps the old matchings and checks that
-the new ones label the same gems.
+A few gems were re-pinned when their construction rule changed: the two
+(4,6,12) catalog entries when they became the first hits of a direct
+order-24 search instead of double covers of an order-12 gem, the two fixed
+sphere entries when they became first search hits instead of a prism and a
+hand-written literal, and ``rp2_sum_gem(2)`` when it dropped its fixed
+matching for the closed form of every other n.  ``PREVIOUS`` keeps each old
+matching and checks that the new gem is the same one, relabeled.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from gemkit.core import ColoredGraph, isomorphic
 
 GOLDEN = {
     ('rp2_sum_gem', 1): "21744bbd2a45e10be51a5c435b56ed562f742f88c4b53252b13fe8c3bc5c9e6c",
-    ('rp2_sum_gem', 2): "b31d225f72d43e968571c985ae9a15604e3fe15ff6336b5529acd25dec4b4c4d",
+    ('rp2_sum_gem', 2): "9569b789f6d4bec5cc7cbbedc3c42511e76ab816990e73909e984f50e8beb815",
     ('rp2_sum_gem', 3): "2bc6089850e9a9e59fd99cb9955b4fa9ff581b61e9be2509dcb15cecafbebc41",
     ('rp2_sum_gem', 4): "9aba2e01befe33b6672e7a62954d23e177234694638bb57fb329e8ceb6e96f59",
     ('rp2_sum_gem', 5): "8b13a2ae715928bfda138677d57d2c0b64627dd4d2f1b309702b44d240ea7d3e",
@@ -108,9 +111,9 @@ GOLDEN = {
     ('torus_sum_gem', 200): "8debd42047484ac67657087b7ac86d8544703edef185811aa4a95be58ac01d6a",
     ('catalog', 'rp2-4.4.4'): "21744bbd2a45e10be51a5c435b56ed562f742f88c4b53252b13fe8c3bc5c9e6c",
     ('catalog', 'rp2-4.4.2p'): "6815c4ae8a23bad6c79079f2430acb43ed2bb8c65ba77563584b86f7e46ceac9",
-    ('catalog', 's2-4.4.4'): "dd493a85cbde4e3e4843d7087ebeaab30da2052a786fd62f88bd1b172f933bc9",
+    ('catalog', 's2-4.4.4'): "18e5ffa7d4ae8a161c01ed588baf00477a9e5e1099dfa047c14fa7b4cbb1ae97",
     ('catalog', 's2-4.4.p'): "2e84871de3128af5f6cd2e943daf0efc97d8d0a00d36614cbc12b9291b01759e",
-    ('catalog', 's2-6.6.4'): "cdb77b92f16025e18161f4dcb74f618e78cefef7cb6504e666b73f4b4aea01f6",
+    ('catalog', 's2-6.6.4'): "30902c209311c98a895e30be47c1eac8a6f6dea18ad9a9acb861316bcb779401",
     ('catalog', 'torus-6.6.6'): "fac648fca07c539471d71f69616f1a888e45fe6f84bd183b03a972e12f2f1fa1",
     ('catalog', 'torus-4.8.8'): "4e646a6c7c4c65ddb817933a7e17d1d62d66e2af148c5a39bb262e9abd4f0490",
     ('catalog', 'torus-4.6.12'): "ced0f8b707dae9e41a88b687773e0b1b17f442823dbbe07722f621a7fc99f65a",
@@ -148,24 +151,49 @@ GOLDEN = {
 }
 
 
-# The matchings of the two (4,6,12) entries as the double-cover detour built
-# them, with the SHA-256 they were pinned at.
-PREVIOUS_4_6_12 = {
-    "torus-4.6.12": (
+# The matchings of each re-pinned gem as the previous rule built them, with
+# the SHA-256 it was pinned at and the color map of the witness that carries
+# it onto the new gem.  The (4,6,12) entries came from the double-cover
+# detour, s2-4.4.4 from the p = 4 prism, s2-6.6.4 from a hand-written literal
+# with its squares on colors {1,2} (the search puts them on {0,1}), and
+# rp2_sum_gem(2) from the order-6 Klein bottle gem's third matching.
+PREVIOUS = {
+    ("catalog", "torus-4.6.12"): (
         "b80ee1c1a7bb3a906826c12bf31dfff29fca1b9e3d5dcaa312a5449522915acc",
         [
             [13, 12, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 1, 0, 15, 14, 17, 16, 19, 18, 21, 20, 23, 22],
             [3, 14, 13, 0, 6, 7, 4, 5, 10, 11, 8, 9, 15, 2, 1, 12, 18, 19, 16, 17, 22, 23, 20, 21],
             [4, 8, 7, 11, 0, 21, 10, 2, 1, 17, 6, 3, 16, 20, 19, 23, 12, 9, 22, 14, 13, 5, 18, 15],
         ],
+        (0, 1, 2),
     ),
-    "klein-4.6.12": (
+    ("catalog", "klein-4.6.12"): (
         "8aa54724a7c5f867a70de82ab57bb3e004b3a4dcea7c69cef2b98e6f146ed752",
         [
             [1, 0, 15, 14, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 3, 2, 17, 16, 19, 18, 21, 20, 23, 22],
             [3, 14, 13, 0, 6, 7, 4, 5, 10, 11, 8, 9, 15, 2, 1, 12, 18, 19, 16, 17, 22, 23, 20, 21],
             [2, 4, 0, 17, 1, 15, 8, 11, 6, 10, 9, 7, 14, 16, 12, 5, 13, 3, 20, 23, 18, 22, 21, 19],
         ],
+        (0, 1, 2),
+    ),
+    ("catalog", "s2-4.4.4"): (
+        "dd493a85cbde4e3e4843d7087ebeaab30da2052a786fd62f88bd1b172f933bc9",
+        [[1, 0, 3, 2, 5, 4, 7, 6], [4, 5, 6, 7, 0, 1, 2, 3], [3, 2, 1, 0, 7, 6, 5, 4]],
+        (0, 1, 2),
+    ),
+    ("catalog", "s2-6.6.4"): (
+        "cdb77b92f16025e18161f4dcb74f618e78cefef7cb6504e666b73f4b4aea01f6",
+        [
+            [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 23, 20, 19, 22, 21, 18],
+            [5, 2, 1, 4, 3, 0, 17, 18, 19, 10, 9, 20, 21, 14, 13, 22, 23, 6, 7, 8, 11, 12, 15, 16],
+            [17, 14, 13, 10, 9, 6, 5, 8, 7, 4, 3, 12, 11, 2, 1, 16, 15, 0, 19, 18, 21, 20, 23, 22],
+        ],
+        (2, 0, 1),
+    ),
+    ("rp2_sum_gem", 2): (
+        "b31d225f72d43e968571c985ae9a15604e3fe15ff6336b5529acd25dec4b4c4d",
+        [[1, 0, 3, 2, 5, 4], [5, 2, 1, 4, 3, 0], [3, 5, 4, 0, 2, 1]],
+        (0, 1, 2),
     ),
 }
 
@@ -174,15 +202,26 @@ def _digest(matchings) -> str:
     return hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", PREVIOUS_4_6_12)
-def test_repinned_catalog_entries_relabel_the_previous_gems(name):
-    digest, matchings = PREVIOUS_4_6_12[name]
+def _assert_relabels_the_previous_gem(key):
+    digest, matchings, color_map = PREVIOUS[key]
     assert _digest(matchings) == digest
     old = ColoredGraph(matchings)
-    new = generators.catalog(name)
-    witness = isomorphic(old, new, "color-fixed")
+    name, *args = key
+    new = getattr(generators, name)(*args)
+    mode = "color-fixed" if color_map == (0, 1, 2) else "color-permuting"
+    witness = isomorphic(old, new, mode)
     assert witness is not None
+    assert witness.color_map == color_map
     assert witness.valid_between(old, new)
+
+
+@pytest.mark.parametrize("name", [key[1] for key in PREVIOUS if key[0] == "catalog"])
+def test_repinned_catalog_entries_relabel_the_previous_gems(name):
+    _assert_relabels_the_previous_gem(("catalog", name))
+
+
+def test_rp2_sum_n2_relabels_the_previous_fixed_matchings():
+    _assert_relabels_the_previous_gem(("rp2_sum_gem", 2))
 
 
 @pytest.mark.parametrize(

@@ -138,13 +138,6 @@ def test_rp2_sum_family(n):
     assert regular_genus(g).rho_times_2 == n
 
 
-def test_rp2_sum_n2_uses_the_fixed_matchings():
-    g = rp2_sum_gem(2)
-    assert g.matchings[0] == (1, 0, 3, 2, 5, 4)
-    assert g.matchings[1] == (5, 2, 1, 4, 3, 0)
-    assert g.matchings[2] == (3, 5, 4, 0, 2, 1)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_torus_sum_family(n):
     g = torus_sum_gem(n)
@@ -169,7 +162,7 @@ def test_rp2_sum_closed_form_is_the_first_non_bipartite_hit():
     # {0,2} and {1,2} Hamiltonian and the gem non-bipartite; the closed form
     # is the lexicographically first one.  Brute force over every matching,
     # with components and bipartiteness from the independent test oracles.
-    for n in (1, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5):
         size = 2 * n + 2
         base = generators._base_cycle(size)
         hits = []
@@ -297,17 +290,24 @@ def test_catalog_flat_surfaces(name, order, chi, orientable_):
     assert manifold_check(g).ok
 
 
-@pytest.mark.parametrize(
-    "name,order,faces,bipartite",
-    [
-        ("torus-6.6.6", 12, (6, 6, 6), "only"),
-        ("torus-4.8.8", 16, (4, 8, 8), "only"),
-        ("torus-4.6.12", 24, (4, 6, 12), "only"),
-        ("klein-6.6.6", 12, (6, 6, 6), "none"),
-        ("klein-4.8.8", 16, (4, 8, 8), "none"),
-        ("klein-4.6.12", 24, (4, 6, 12), "none"),
-    ],
-)
+def _caption_faces(caption: str) -> tuple[int, ...]:
+    """Face lengths of a caption like "(6^2,4)"."""
+    faces = []
+    for run in caption.strip("()").split(","):
+        q, _, k = run.partition("^")
+        faces += [int(q)] * int(k or 1)
+    return tuple(faces)
+
+
+# Every enabled fixed entry of the manifest, with its search spec's fields.
+FIXED_ENTRIES = [
+    (e["name"], e["order"], _caption_faces(e["faces"]), "only" if e["orientable"] else "none")
+    for e in catalog_manifest()
+    if e["enabled"] and not e["parametric"]
+]
+
+
+@pytest.mark.parametrize("name,order,faces,bipartite", FIXED_ENTRIES)
 def test_catalog_surface_is_the_first_hit_of_one_direct_search(name, order, faces, bipartite):
     spec = SearchSpec(
         colors=3, order=order, vertex_types=faces, bipartite=bipartite, bigons="exclude"

@@ -181,6 +181,12 @@ def test_spec_json_rejects_falsy_vertex_types(vertex_types):
         SearchSpec.from_json_dict({"colors": 3, "order": 8, "vertex_types": vertex_types})
 
 
+def test_spec_json_rejects_an_unknown_key():
+    # A misspelt key must not silently drop its constraint.
+    with pytest.raises(ValueError, match="unknown key 'vertex_type'"):
+        SearchSpec.from_json_dict({"colors": 3, "order": 8, "vertex_type": [4, 4, 4]})
+
+
 def test_spec_json_null_or_missing_vertex_types_is_no_constraint():
     for data in ({"colors": 3, "order": 8, "vertex_types": None}, {"colors": 3, "order": 8}):
         assert SearchSpec.from_json_dict(data).vertex_types is None

@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+top-level name of the package is referenced somewhere in it.
 
-``__init__.py`` is left out: its imports are the package's re-exports.
+``__init__.py`` is left out of the import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,9 +12,8 @@ import pytest
 
 import gemkit
 
-MODULES = sorted(
-    p for p in pathlib.Path(gemkit.__file__).parent.rglob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(pathlib.Path(gemkit.__file__).parent.rglob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -29,6 +30,47 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Top-level ``_name`` functions, classes and assignments, with their lines."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in a module."""
+    refs: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def _dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    refs = set().union(*map(_references, trees.values()))
+    return [
+        f"{name} line {line}: {defined}"
+        for name, tree in trees.items()
+        for defined, line in _private_definitions(tree).items()
+        if defined not in refs
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
@@ -37,3 +79,16 @@ def test_module_uses_every_import(path):
 def test_unused_import_is_reported():
     source = "import itertools\nfrom os import path, sep\nfrom x import y as z\nprint(sep, z)\n"
     assert _unused_imports(source) == ["line 1: itertools", "line 2: path"]
+
+
+def test_package_references_every_private_definition():
+    assert _dead_private_definitions({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_dead_private_definition_is_reported():
+    sources = {
+        "a.py": "_USED = 1\n_DEAD = [3, 5]\ndef _helper():\n    return _USED\n"
+        "class _Gone:\n    pass\n__all__ = []\n",
+        "b.py": "from .a import _helper\nimport a\na._Other = 2\n",
+    }
+    assert _dead_private_definitions(sources) == ["a.py line 2: _DEAD", "a.py line 5: _Gone"]
