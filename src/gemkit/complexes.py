@@ -4,7 +4,9 @@ One d-simplex is taken per vertex, with its own vertices labeled by the
 colors, and simplices are glued along the facets indicated by colored
 edges.  The resulting h-cells correspond to pairs (label set of size h+1,
 component of the residue on the complementary colors); boundary maps carry
-signs from the position of the dropped label in ascending order.
+signs from the position of the dropped label in ascending order.  The
+residue partitions on all color sets come from one table per graph, each
+merged from a smaller one with one union-find pass instead of walked.
 
 Each boundary map is kept as sparse columns, at most h+1 entries +-1 per
 h-cell; the dense matrices are only a view built on request.  Homology is
@@ -13,7 +15,10 @@ needs no modular tricks: the columns go straight in as the rows of the
 transposed map, every unit pivot is eliminated on those sparse rows, and
 only the small remainder is reduced densely.  The manifold check
 certifies each residue component once per call, however many deletion
-orders reach it.
+orders reach it, and reads both its residues and its complex from that
+component's table.  A component whose own residues passed is a homology
+manifold, so Poincare duality lets its sphere test stop at the lower half
+of the chain complex.
 """
 
 from __future__ import annotations
@@ -23,13 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import (
-    ColoredGraph,
-    NotConnectedError,
-    component_index,
-    is_bipartite,
-    residue_graphs,
-)
+from .core import ColoredGraph, NotConnectedError, _residue_pieces, is_bipartite
 from .embedding import CyclicPermutation, euler_characteristic
 
 
@@ -82,32 +81,83 @@ def build_complex(g: ColoredGraph) -> PseudoComplex:
     """Glue one d-simplex per vertex along the colored edges."""
     if not g.is_connected():
         raise NotConnectedError("the complex is built for connected graphs")
-    d = g.dimension
-    all_colors = tuple(range(d + 1))
+    cells, columns = _layers(g, _partition_table(g), g.dimension)
+    return PseudoComplex(g.dimension, cells, columns)
 
-    # For every label set C: component ids of the residue on the complement,
-    # a representative (minimum) vertex per component, and the cell offset.
+
+# One residue partition: the component id of every vertex, ids given in
+# order of least vertex, and the least vertex of every component.
+_Partition = tuple[list[int], list[int]]
+
+
+def _partition_table(g: ColoredGraph) -> list[_Partition]:
+    """The residue partition on every color set, indexed by its bitmask.
+
+    The ids of entry ``mask`` are ``component_index(g, colors of mask)``.
+    They are not walked but merged: the partition on a set S is the
+    partition on S minus its highest color c, with the components that c's
+    edges join united.  The union keeps the smaller id as root, and ids
+    were given by least vertex, so the roots in increasing order give the
+    merged components in order of least vertex too.
+    """
+    n = g.vertex_count
+    edges = [[(v, w) for v, w in enumerate(m) if v < w] for m in g.matchings]
+    table = [(list(range(n)), list(range(n)))]
+    for mask in range(1, 1 << len(g.matchings)):
+        c = mask.bit_length() - 1
+        idx, least = table[mask ^ (1 << c)]
+        parent = list(range(len(least)))
+        for v, w in edges[c]:
+            a, b = idx[v], idx[w]
+            if a == b:
+                continue
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+        # parent[i] <= i, so its new id is known before i's.
+        new = [0] * len(parent)
+        roots: list[int] = []
+        for i, p in enumerate(parent):
+            if p == i:
+                new[i] = len(roots)
+                roots.append(least[i])
+            else:
+                new[i] = new[p]
+        table.append(([new[i] for i in idx], roots))
+    return table
+
+
+def _layers(g: ColoredGraph, table: list[_Partition], top: int) -> tuple[tuple, tuple]:
+    """Cells of dimension 0..top and boundary columns of dimension 1..top.
+
+    An h-cell's label set C picks the residue on the complementary colors
+    from ``table``; the cells are its components, in id order, and each
+    column is read at the component's least vertex.
+    """
+    full = (1 << len(g.matchings)) - 1
+    # For every label set C: the cell offset and the partition of the
+    # residue on the complement.
     subset_info: dict[tuple[int, ...], tuple[int, list[int], list[int]]] = {}
     cells: list[tuple[tuple[tuple[int, ...], int], ...]] = []
-    for h in range(d + 1):
+    for h in range(top + 1):
         layer = []
         offset = 0
-        for C in itertools.combinations(all_colors, h + 1):
-            rest = tuple(c for c in all_colors if c not in C)
-            idx, count = component_index(g, rest)
-            reps = [-1] * count
-            for v, comp in enumerate(idx):
-                if reps[comp] < 0:
-                    reps[comp] = v
-            subset_info[C] = (offset, idx, reps)
-            layer.extend((C, j) for j in range(count))
-            offset += count
+        for C in itertools.combinations(g.colors, h + 1):
+            idx, least = table[full ^ sum(1 << c for c in C)]
+            subset_info[C] = (offset, idx, least)
+            layer.extend((C, j) for j in range(len(least)))
+            offset += len(least)
         cells.append(tuple(layer))
 
     columns: list[tuple[tuple[int, ...], ...]] = [()]
-    for h in range(1, d + 1):
+    for h in range(1, top + 1):
         layer_cols: list[tuple[int, ...]] = []
-        for C in itertools.combinations(all_colors, h + 1):
+        for C in itertools.combinations(g.colors, h + 1):
             _, _, reps = subset_info[C]
             facet_rows = []
             for pos in range(h + 1):
@@ -115,7 +165,7 @@ def build_complex(g: ColoredGraph) -> PseudoComplex:
                 facet_rows.append([f_offset + f_idx[rep] for rep in reps])
             layer_cols += zip(*facet_rows)
         columns.append(tuple(layer_cols))
-    return PseudoComplex(d, tuple(cells), tuple(columns))
+    return tuple(cells), tuple(columns)
 
 
 def euler_characteristic_complex(k: PseudoComplex) -> int:
@@ -296,13 +346,7 @@ class HomologyProfile:
 def homology_of_complex(k: PseudoComplex) -> HomologyProfile:
     d = k.dimension
     f = k.f_vector
-    factors: list[list[int]] = [[]]
-    for h in range(1, d + 1):
-        # The columns of a boundary map are the rows of its transpose,
-        # which has the same invariant factors.
-        signs = [-1 if pos % 2 else 1 for pos in range(h + 1)]
-        rows = [dict(zip(col, signs)) for col in k.columns[h]]
-        factors.append(_sparse_snf(rows, f[h - 1]))
+    factors = _boundary_factors(k.columns, f)
     factors.append([])  # boundary out of dimension d+1 is zero
     groups = []
     for i in range(d + 1):
@@ -312,6 +356,20 @@ def homology_of_complex(k: PseudoComplex) -> HomologyProfile:
         torsion = tuple(e for e in factors[i + 1] if e > 1)
         groups.append((free, torsion))
     return HomologyProfile(tuple(groups))
+
+
+def _boundary_factors(
+    columns: Sequence[Sequence[tuple[int, ...]]], f: Sequence[int]
+) -> list[list[int]]:
+    """Invariant factors of every boundary map given, ``[]`` for the 0th."""
+    factors: list[list[int]] = [[]]
+    for h in range(1, len(columns)):
+        # The columns of a boundary map are the rows of its transpose,
+        # which has the same invariant factors.
+        signs = [-1 if pos % 2 else 1 for pos in range(h + 1)]
+        rows = [dict(zip(col, signs)) for col in columns[h]]
+        factors.append(_sparse_snf(rows, f[h - 1]))
+    return factors
 
 
 def homology(g: ColoredGraph) -> HomologyProfile:
@@ -367,27 +425,32 @@ def manifold_check(g: ColoredGraph) -> ManifoldVerdict:
         raise NotConnectedError("manifold certification needs a connected graph")
     if g.dimension < 2:
         raise ValueError("manifold certification is defined for dimension >= 2")
-    return _manifold_check(g, {})
+    if g.dimension == 2:
+        return ManifoldVerdict(CERTIFIED_SURFACE)
+    return _manifold_check(g, _partition_table(g), {})
 
 
 def _manifold_check(
-    g: ColoredGraph, memo: dict[ColoredGraph, Optional[str]]
+    g: ColoredGraph,
+    table: list[_Partition],
+    memo: dict[ColoredGraph, Optional[str]],
 ) -> ManifoldVerdict:
-    """Certify a connected graph of dimension >= 2 by its residues.
+    """Certify a connected graph of dimension >= 3 by its residues.
 
-    One residue component is reached along every order of deleting its
-    missing colors, and ``residue_graphs`` renumbers it to the same graph
-    each time, so ``memo`` (shared by one top-level call) records each
-    residue's failure detail, or None if it passed, the first time it is
-    visited.  Residues are still visited in the same order, so the first
-    failure reported is unchanged.
+    The residues on all colors but one are read from ``g``'s partition
+    ``table`` and extracted as ``residue_graphs`` extracts them.  One
+    residue component is reached along every order of deleting its
+    missing colors and renumbered to the same graph each time, so
+    ``memo`` (shared by one top-level call) records each residue's failure
+    detail, or None if it passed, the first time it is visited.  Residues
+    are still visited in the same order, so the first failure reported is
+    unchanged.
     """
-    d = g.dimension
-    if d == 2:
-        return ManifoldVerdict(CERTIFIED_SURFACE)
-    all_colors = set(g.colors)
+    full = (1 << len(g.matchings)) - 1
     for c in g.colors:
-        pieces = residue_graphs(g, all_colors - {c})
+        cols = tuple(x for x in g.colors if x != c)
+        idx, least = table[full ^ (1 << c)]
+        pieces = _residue_pieces(g, cols, idx, len(least))
         for piece_no, (piece, _) in enumerate(pieces):
             if piece not in memo:
                 memo[piece] = _residue_failure(piece, memo)
@@ -396,7 +459,7 @@ def _manifold_check(
                 return ManifoldVerdict(
                     FAILED, f"residue without color {c}, component {piece_no}: {failure}"
                 )
-    if d == 3:
+    if g.dimension == 3:
         return ManifoldVerdict(CERTIFIED_3_MANIFOLD)
     return ManifoldVerdict(HOMOLOGY_CERTIFIED)
 
@@ -404,17 +467,47 @@ def _manifold_check(
 def _residue_failure(
     piece: ColoredGraph, memo: dict[ColoredGraph, Optional[str]]
 ) -> Optional[str]:
-    """Why a residue component of a gem fails to be a sphere, or None."""
+    """Why a residue component of a gem fails to be a sphere, or None.
+
+    A surface is a sphere iff its Euler characteristic is 2.  From m = 3
+    up the piece's own residues are certified first; once they pass, every
+    link in the piece is a homology sphere, so the piece is a closed
+    homology m-manifold, and it has the homology of S^m iff
+      - it is bipartite: a top chain sum a_v s_v is a cycle iff
+        a_w = -a_v across every edge, so H_m = Z iff the graph is; and
+      - H_1 .. H_k vanish, k = floor(m/2): H_0 = Z as the piece is
+        connected, and by Poincare duality with the universal coefficient
+        theorem H_i = Free(H_(m-i)) + Tors(H_(m-i-1)) covers the rest.
+    So only the cells up to dimension k+1 are built and only the boundary
+    maps 1..k+1 reduced, from the piece's one partition table.  A
+    non-orientable homology manifold has H_1 != 0 anyway (its orientation
+    character maps H_1 onto Z_2), so the bipartite test changes no
+    verdict; it rejects such a piece before any reduction.
+    """
     m = piece.dimension
     if m == 2:
         chi = euler_characteristic(piece, CyclicPermutation((0, 1, 2)))
         return None if chi == 2 else f"surface has chi {chi}, expected 2"
-    sub = _manifold_check(piece, memo)
+    table = _partition_table(piece)
+    sub = _manifold_check(piece, table, memo)
     if not sub.ok:
         return sub.detail
-    if homology(piece) != sphere_profile(m):
+    if not is_bipartite(piece) or not _low_homology_vanishes(piece, table):
         return f"homology differs from the {m}-sphere"
     return None
+
+
+def _low_homology_vanishes(g: ColoredGraph, table: list[_Partition]) -> bool:
+    """H_i(g) = 0 for 1 <= i <= floor(d/2), from boundary maps 1..floor(d/2)+1."""
+    k = g.dimension // 2
+    cells, columns = _layers(g, table, k + 1)
+    f = [len(layer) for layer in cells]
+    factors = _boundary_factors(columns, f)
+    return all(
+        f[i] == len(factors[i]) + len(factors[i + 1])
+        and all(e == 1 for e in factors[i + 1])
+        for i in range(1, k + 1)
+    )
 
 
 def consistency_surface(g: ColoredGraph) -> bool:

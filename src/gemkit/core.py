@@ -265,15 +265,24 @@ def residue_graphs(
     cols = _checked_colors(g, colors)
     if len(cols) < 2:
         raise ValueError("a residue graph needs at least two colors")
-    part = residue_components(g, cols)
-    out = []
-    for comp in part.components:
-        back = {orig: i for i, orig in enumerate(comp)}
-        mats = [
-            tuple(back[g.matchings[c][orig]] for orig in comp) for c in cols
-        ]
-        out.append((ColoredGraph(mats), comp))
-    return out
+    return _residue_pieces(g, cols, *component_index(g, cols))
+
+
+def _residue_pieces(
+    g: ColoredGraph, cols: tuple[int, ...], idx: list[int], count: int
+) -> list[tuple[ColoredGraph, tuple[int, ...]]]:
+    """``residue_graphs`` of the residue on ``cols`` whose components are
+    already labeled: ``idx`` numbers them 0..count-1 by least vertex."""
+    comps: list[list[int]] = [[] for _ in range(count)]
+    pos = [0] * len(idx)
+    for v, i in enumerate(idx):
+        pos[v] = len(comps[i])
+        comps[i].append(v)
+    mats = [g.matchings[c] for c in cols]
+    return [
+        (ColoredGraph([[pos[m[v]] for v in comp] for m in mats]), tuple(comp))
+        for comp in comps
+    ]
 
 
 @dataclass(frozen=True)

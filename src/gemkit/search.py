@@ -913,8 +913,15 @@ def classify_4_4(order_max: int = 8, order_budget: int = 16) -> Classify44Report
         hits, done = _run_search(spec)
         raw.extend(hits)
         exhaustive = exhaustive and done
-    classes = _dedup_canonical(raw)
-    count_fixed = len({canonical_form(g, "color-fixed") for g in raw})
+    # Color-fixed isomorphic hits are color-permuting isomorphic too, and
+    # the first hit of a color-permuting class is the first hit of one of
+    # its color-fixed classes, so only those firsts need the (about four
+    # times dearer) color-permuting form.  The classes are unchanged.
+    firsts: dict[bytes, ColoredGraph] = {}
+    for g in raw:
+        firsts.setdefault(canonical_form(g, "color-fixed"), g)
+    classes = _dedup_canonical(firsts.values())
+    count_fixed = len(firsts)
 
     entries = []
     for g in classes:

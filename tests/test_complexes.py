@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from gemkit.core import ColoredGraph, NotConnectedError, residue_count
+from gemkit.core import (
+    ColoredGraph,
+    NotConnectedError,
+    component_index,
+    is_bipartite,
+    residue_count,
+)
 from gemkit.complexes import (
     CERTIFIED_3_MANIFOLD,
     FAILED,
@@ -14,6 +20,8 @@ from gemkit.complexes import (
     HOMOLOGY_CERTIFIED,
     HomologyProfile,
     PseudoComplex,
+    _manifold_check,
+    _partition_table,
     build_complex,
     consistency_surface,
     euler_characteristic_complex,
@@ -36,6 +44,7 @@ from helpers import (
     doubled,
     matrix_product,
     oracle_manifold_check,
+    random_gem,
     random_permutation,
     random_surface_gem,
 )
@@ -144,6 +153,50 @@ def test_complex_json_golden(label):
     data = build_complex(gem).to_json_dict()
     raw = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+relabel_rng = random.Random(2207)  # its own stream: leaves ``rng``'s draws as they were
+
+
+def _relabeled(g: ColoredGraph) -> ColoredGraph:
+    return g.relabel(random_permutation(relabel_rng, g.vertex_count))
+
+
+def assert_table_matches_component_index(g: ColoredGraph) -> None:
+    table = _partition_table(g)
+    assert len(table) == 2 ** (g.dimension + 1)
+    for mask, (idx, least) in enumerate(table):
+        colors = [c for c in g.colors if mask >> c & 1]
+        assert (idx, len(least)) == component_index(g, colors)
+        assert least == [idx.index(j) for j in range(len(least))]
+
+
+FAMILY_GEMS = [
+    standard_sphere(3),
+    lens_gem(5, 2, 4),
+    lens_gem(7, 3, 2),
+    torus_sum_gem(3),
+    rp2_sum_gem(4),
+    doubled(lens_gem(3, 1, 2)),
+] + [sphere_times_circle_gem(d, t) for d in (3, 4, 5) for t in (False, True)]
+
+
+@pytest.mark.parametrize("g", FAMILY_GEMS, ids=str)
+def test_partition_table_matches_component_index_on_families(g):
+    assert_table_matches_component_index(g)
+    assert_table_matches_component_index(_relabeled(g))
+
+
+def test_partition_table_matches_component_index_on_random_gems():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 10), st.integers(0, 2**32))
+    def check(d, half, seed):
+        assert_table_matches_component_index(random_gem(random.Random(seed), d, 2 * half))
+
+    check()
 
 
 def test_dense_boundaries_are_a_cached_view():
@@ -364,6 +417,54 @@ def test_manifold_check_failures_match_oracle():
     for g, pinned in [(g4, detail), (g5, "residue without color 4, component 0: " + detail)]:
         got, want = manifold_check(g), oracle_manifold_check(g)
         assert (got.kind, got.detail) == (want.kind, want.detail) == (FAILED, pinned)
+
+
+SPHERE_TEST_GEMS = {
+    **{
+        f"bundle({d},twisted={t})": _relabeled(sphere_times_circle_gem(d, t))
+        for d in (3, 4, 5, 6)
+        for t in (False, True)
+    },
+    **{f"lens{pqk}": _relabeled(lens_gem(*pqk)) for pqk in [(3, 1, 2), (5, 2, 2), (7, 2, 4)]},
+    # The three pieces that fail: non-bipartite, H_1 = Z, H_1 = Z_5.
+    "doubled twisted bundle(4)": doubled(sphere_times_circle_gem(4, twisted=True)),
+    "doubled bundle(4)": doubled(sphere_times_circle_gem(4)),
+    "doubled lens(5,2,2)": doubled(lens_gem(5, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("label", list(SPHERE_TEST_GEMS))
+def test_sphere_test_on_lower_half_matches_full_homology(label):
+    g = SPHERE_TEST_GEMS[label]
+    memo = {}
+    got = _manifold_check(g, _partition_table(g), memo)
+    want = oracle_manifold_check(g)
+    assert (got.kind, got.detail) == (want.kind, want.detail)
+    checked = 0
+    for piece, failure in memo.items():
+        m = piece.dimension
+        if m < 3 or not (failure is None or failure == f"homology differs from the {m}-sphere"):
+            continue  # a surface, or a piece whose own residues failed
+        assert (failure is None) == (homology(piece) == sphere_profile(m))
+        checked += 1
+    assert checked or g.dimension == 3  # the pieces of a 3-gem are surfaces
+
+
+def test_sphere_test_failure_branches():
+    twisted = doubled(sphere_times_circle_gem(4, twisted=True))
+    memo = {}
+    _manifold_check(twisted, _partition_table(twisted), memo)
+    rejected = [p for p, failure in memo.items() if failure == "homology differs from the 4-sphere"]
+    assert rejected and not any(is_bipartite(p) for p in rejected)
+    for g, m, h1 in [
+        (doubled(sphere_times_circle_gem(4)), 4, (1, ())),
+        (doubled(lens_gem(5, 2, 2)), 3, (0, (5,))),
+    ]:
+        memo = {}
+        _manifold_check(g, _partition_table(g), memo)
+        rejected = [p for p, failure in memo.items() if failure == f"homology differs from the {m}-sphere"]
+        assert rejected
+        assert all(is_bipartite(p) and homology(p).groups[1] == h1 for p in rejected)
 
 
 def test_manifold_check_twisted_bundle_dimension_6():
