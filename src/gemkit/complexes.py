@@ -13,20 +13,22 @@ h-cell; the dense matrices are only a view built on request.  Homology is
 computed by Smith normal form over exact integers, which at these sizes
 needs no modular tricks: the columns go straight in as the rows of the
 transposed map, every unit pivot is eliminated on those sparse rows, and
-only the small remainder is reduced densely.  The manifold check
-certifies each residue component once per call, however many deletion
-orders reach it, and reads both its residues and its complex from that
-component's table.  A component whose own residues passed is a homology
-manifold, so Poincare duality lets its sphere test stop at the lower half
-of the chain complex.
+the few rows left are reduced in place by gcd steps on least entries.
+The manifold check certifies each residue component once per call,
+however many deletion orders reach it, and reads both its residues and
+its complex from that component's table.  A component whose own
+residues passed is a homology manifold, so Poincare duality lets its
+sphere test stop at the lower half of the chain complex.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Optional
 
 from .core import ColoredGraph, NotConnectedError, _residue_pieces, is_bipartite
 from .embedding import CyclicPermutation, euler_characteristic
@@ -176,9 +178,12 @@ def euler_characteristic_complex(k: PseudoComplex) -> int:
 def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    The rows must have equal length and hold exact ints (no bools, floats
-    or other numbers); anything else raises ``ValueError``.
+    The matrix and its rows must be sequences, the rows of equal length
+    and holding exact ints (no bools, floats or other numbers); anything
+    else raises ``ValueError``.
     """
+    if not isinstance(rows, Sequence) or not all(isinstance(r, Sequence) for r in rows):
+        raise ValueError("rows must be sequences")
     width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
         raise ValueError("rows must have equal length")
@@ -190,20 +195,25 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
 def _sparse_snf(sparse: list[dict[int, int]], width: int) -> list[int]:
     """Invariant factors of the matrix with these sparse rows, consumed.
 
-    Unit pivots are eliminated sparsely first: columns ``0..width-1`` are
-    visited once, those with the fewest entries at the start first, and a
-    column holding an entry of absolute value 1 takes the one in the
-    shortest row, clears the rest of the column with that row and drops
-    out together with it, contributing a factor 1.  Only the small
-    remainder goes through the dense Smith normal form.  Invariant factors
-    are unique, so neither the order nor the split changes the result.
+    Columns ``0..width-1`` are swept twice, those with the fewest entries
+    at the start first, and ties between pivots go to the shortest row.
+    The first sweep takes the unit pivots, each clearing its column with
+    its row.  The second pivots each column left on its least entry: row
+    operations with floor quotients leave the other rows their remainders
+    until the pivot stands alone in its column, then column operations
+    reduce the pivot row likewise and its least remainder is swapped in.
+    A pivot alone in its row and column drops out with them.  The dropped
+    pivots are the diagonal of an equivalent matrix, which gcd and lcm of
+    pairs turn into the divisor chain.  Invariant factors are unique, so
+    neither the order nor the pivots change the result.
     """
     col_rows: list[set[int]] = [set() for _ in range(width)]
     for i, r in enumerate(sparse):
         for j in r:
             col_rows[j].add(i)
+    order = sorted(range(width), key=lambda j: len(col_rows[j]))
     units = 0
-    for j in sorted(range(width), key=lambda j: len(col_rows[j])):
+    for j in order:
         pivot = None
         for i in col_rows[j]:
             if sparse[i][j] in (1, -1) and (
@@ -232,81 +242,43 @@ def _sparse_snf(sparse: list[dict[int, int]], width: int) -> list[int]:
                     del r[k]
                     col_rows[k].discard(i)
         units += 1
-    left = [r for r in sparse if r]
-    cols = sorted({j for r in left for j in r})
-    rest = [[r.get(j, 0) for j in cols] for r in left]
-    return [1] * units + _dense_snf(rest)
-
-
-def _dense_snf(A: list[list[int]]) -> list[int]:
-    """Invariant factors by dense pivoting on the least absolute value.
-
-    Works in place on ``A``; plain Python integers keep everything exact
-    regardless of intermediate growth.
-    """
-    R = len(A)
-    C = len(A[0]) if R else 0
-    factors: list[int] = []
-    t = 0
-    while t < min(R, C):
-        best = None
-        for i in range(t, R):
-            Ai = A[i]
-            for j in range(t, C):
-                v = Ai[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            A[t], A[bi] = A[bi], A[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            for i in range(t + 1, R):
-                v = A[i][t]
-                if v:
-                    q = v // A[t][t]
-                    if q:
-                        At, Ai = A[t], A[i]
-                        for j in range(t, C):
-                            Ai[j] -= q * At[j]
-            stray = next((i for i in range(t + 1, R) if A[i][t]), None)
-            if stray is not None:
-                A[t], A[stray] = A[stray], A[t]
+    # The rows left are few and short, so the second sweep scans them.  Its
+    # column and pivot row have their own names: the closures below make
+    # them cell variables, which would slow down ``j`` and ``prow`` above.
+    rest = [r for r in sparse if r]
+    live = {k for r in rest for k in r}
+    diagonal = []
+    for col in order:
+        while col in live and (rows := [r for r in rest if col in r]):
+            top = min(rows, key=lambda r: (abs(r[col]), len(r)))
+            p = top[col]
+            if len(rows) > 1:
+                for r in rows:
+                    if r is not top:
+                        q = r[col] // p
+                        for k, v in top.items():
+                            r[k] = r.get(k, 0) - q * v
+                            if not r[k]:
+                                del r[k]
                 continue
-            for j in range(t + 1, C):
-                v = A[t][j]
-                if v:
-                    q = v // A[t][t]
-                    if q:
-                        for i in range(t, R):
-                            A[i][j] -= q * A[i][t]
-            stray = next((j for j in range(t + 1, C) if A[t][j]), None)
-            if stray is not None:
-                for i in range(R):
-                    A[i][t], A[i][stray] = A[i][stray], A[i][t]
-                continue
-            piv = A[t][t]
-            bad = None
-            for i in range(t + 1, R):
-                Ai = A[i]
-                for j in range(t + 1, C):
-                    if Ai[j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            At, Ab = A[t], A[bad]
-            for j in range(t, C):
-                At[j] += Ab[j]
-        factors.append(abs(A[t][t]))
-        t += 1
-    return factors
+            # Column col is p alone, so column operations touch only its row.
+            for k in list(top):
+                top[k] %= p
+                if not top[k]:
+                    del top[k]
+            if top:
+                k = min(top, key=lambda k: abs(top[k]))
+                for r in rest:
+                    if k in r:
+                        r[col] = r.pop(k)
+                top[k] = p
+            else:
+                diagonal.append(abs(p))
+    chain = [e for e in diagonal if e > 1]
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            chain[a], chain[b] = gcd(chain[a], chain[b]), lcm(chain[a], chain[b])
+    return [1] * (units + len(diagonal) - len(chain)) + chain
 
 
 @dataclass(frozen=True)
@@ -344,24 +316,22 @@ class HomologyProfile:
 
 
 def homology_of_complex(k: PseudoComplex) -> HomologyProfile:
-    d = k.dimension
-    f = k.f_vector
-    factors = _boundary_factors(k.columns, f)
-    factors.append([])  # boundary out of dimension d+1 is zero
-    groups = []
-    for i in range(d + 1):
-        rank_in = len(factors[i + 1])
-        rank_out = len(factors[i]) if i > 0 else 0
-        free = f[i] - rank_out - rank_in
-        torsion = tuple(e for e in factors[i + 1] if e > 1)
-        groups.append((free, torsion))
-    return HomologyProfile(tuple(groups))
+    """Integral homology H_0 .. H_d of the complex, d its dimension.
+
+    Raises no error: ``build_complex`` already raised ``NotConnectedError``
+    for a disconnected graph.
+    """
+    return HomologyProfile(tuple(_homology_groups(k.columns, k.f_vector)))
 
 
-def _boundary_factors(
+def _homology_groups(
     columns: Sequence[Sequence[tuple[int, ...]]], f: Sequence[int]
-) -> list[list[int]]:
-    """Invariant factors of every boundary map given, ``[]`` for the 0th."""
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(free rank, torsion) of H_i for every i below ``len(columns)``.
+
+    The boundary map out of the top dimension given is taken as zero, so
+    the top group is exact only if the complex has no higher cells.
+    """
     factors: list[list[int]] = [[]]
     for h in range(1, len(columns)):
         # The columns of a boundary map are the rows of its transpose,
@@ -369,7 +339,11 @@ def _boundary_factors(
         signs = [-1 if pos % 2 else 1 for pos in range(h + 1)]
         rows = [dict(zip(col, signs)) for col in columns[h]]
         factors.append(_sparse_snf(rows, f[h - 1]))
-    return factors
+    factors.append([])
+    return [
+        (f[i] - len(factors[i]) - len(out), tuple(e for e in out if e > 1))
+        for i, out in enumerate(factors[1:])
+    ]
 
 
 def homology(g: ColoredGraph) -> HomologyProfile:
@@ -421,6 +395,14 @@ class ManifoldVerdict:
 
 
 def manifold_check(g: ColoredGraph) -> ManifoldVerdict:
+    """Certify that the graph encodes a closed manifold, as far as known.
+
+    Returns a ``ManifoldVerdict``: ``certified-surface`` in dimension 2,
+    ``certified-3-manifold`` in dimension 3, ``homology-certified`` above,
+    or ``failed`` with the first residue that is not a sphere.  Raises
+    ``NotConnectedError`` for a disconnected graph and ``ValueError`` for
+    dimension d < 2.
+    """
     if not g.is_connected():
         raise NotConnectedError("manifold certification needs a connected graph")
     if g.dimension < 2:
@@ -501,13 +483,8 @@ def _low_homology_vanishes(g: ColoredGraph, table: list[_Partition]) -> bool:
     """H_i(g) = 0 for 1 <= i <= floor(d/2), from boundary maps 1..floor(d/2)+1."""
     k = g.dimension // 2
     cells, columns = _layers(g, table, k + 1)
-    f = [len(layer) for layer in cells]
-    factors = _boundary_factors(columns, f)
-    return all(
-        f[i] == len(factors[i]) + len(factors[i + 1])
-        and all(e == 1 for e in factors[i + 1])
-        for i in range(1, k + 1)
-    )
+    groups = _homology_groups(columns, [len(layer) for layer in cells])
+    return all(group == (0, ()) for group in groups[1 : k + 1])
 
 
 def consistency_surface(g: ColoredGraph) -> bool:

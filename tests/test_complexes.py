@@ -266,6 +266,9 @@ def test_snf_rejects_ragged_rows():
         smith_invariant_factors([[1, 0], [0]])
     with pytest.raises(ValueError, match="rows must have equal length"):
         smith_invariant_factors([[], [1]])
+    for rows in ([1, 2], [[1, 2], 3], [None], 7, iter([[1]])):
+        with pytest.raises(ValueError, match="rows must be sequences"):
+            smith_invariant_factors(rows)
 
 
 def test_snf_rejects_inexact_entries():
@@ -288,6 +291,12 @@ def test_snf_dense_remainder_after_unit_pivots():
     # The unit pivot leaves diag(2, 3) behind, whose factors are 1 and 6.
     assert smith_invariant_factors([[1, 5, 7], [0, 2, 0], [0, 0, 3]]) == [1, 1, 6]
     assert smith_invariant_factors([[2, 1], [4, 2], [6, 3]]) == [1]
+    # No unit entry: the least entry's row leaves a remainder that is
+    # swapped into the pivot column (values checked against sympy).
+    assert smith_invariant_factors([[2, 3]]) == [1]
+    assert smith_invariant_factors([[6, 10, 15]]) == [1]
+    assert smith_invariant_factors([[4, 6], [6, 4]]) == [2, 10]
+    assert smith_invariant_factors([[6, 4], [10, 6], [15, 9]]) == [1, 2]
 
 
 def test_snf_divisibility_chain_property():

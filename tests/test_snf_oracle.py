@@ -51,10 +51,13 @@ def test_snf_matches_sympy_on_random_sparse_matrices(seed):
 
 
 def test_snf_matches_sympy_without_unit_entries():
+    # Coprime entries (9, 10, -15) leave remainders in the pivot's column
+    # and row, so the gcd row and column steps and the column swap run.
     rng = random.Random(77)
-    for _ in range(20):
-        r, c = rng.randrange(1, 9), rng.randrange(1, 9)
-        m = [[rng.choice((0, 0, 2, -2, 3, 4, -6)) for _ in range(c)] for _ in range(r)]
+    values = (0, 0, 2, -2, 3, 4, -6, 9, 10, -15, 12)
+    for _ in range(60):
+        r, c = rng.randrange(1, 25), rng.randrange(1, 25)
+        m = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
         assert smith_invariant_factors(m) == sympy_factors(m), m
 
 
