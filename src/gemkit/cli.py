@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Sequence
 
 from . import generators, io, search
@@ -39,6 +40,32 @@ def _write_output(text: str, out: Optional[str]) -> None:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
+
+
+def _indented(x, nl: str = "\n") -> str:
+    """``json.dumps(x, indent=2)``, byte for byte, without the pure-Python
+    encoder that ``indent`` forces.  Ints, strs, None, bools, non-empty lists,
+    tuples and str-keyed dicts are written here; anything else goes to
+    ``json.dumps``, re-indented to its depth (strings escape their newlines).
+    """
+    t = type(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return _encode_str(x)
+    if x is None or t is bool:
+        return "null" if x is None else "true" if x else "false"
+    inner = nl + "  "
+    if (t is list or t is tuple) and x:
+        if all(type(v) is int for v in x):
+            body = map(int.__repr__, x)
+        else:
+            body = [_indented(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    if t is dict and x and all(type(k) is str for k in x):
+        body = [_encode_str(k) + ": " + _indented(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    return json.dumps(x, indent=2).replace("\n", nl)
 
 
 def _cmd_gen(args) -> int:
@@ -89,31 +116,32 @@ def _cmd_analyze(args) -> int:
             "witness_rho_times_2": rep.witness_rho_times_2,
             "witness_permutations": [list(e.order) for e in rep.witness_permutations],
         }
-        print(json.dumps(payload, indent=2))
+        print(_indented(payload))
         return 0
-    print(
+    lines = [
         f"dimension {g.dimension}  vertices {g.vertex_count}  "
         f"bipartite {'yes' if is_bipartite(g) else 'no'}  "
         f"contracted {'yes' if is_contracted(g) else 'no'}"
-    )
+    ]
     for r in rep.reports:
         faces = (
             "(" + ",".join(str(f) for f in r.signature.faces) + ")"
             if r.signature
             else "-"
         )
-        print(
+        lines.append(
             f"epsilon {r.epsilon}: type {faces}, chi {r.chi}, "
             f"rho {_format_rho(r.rho_times_2)}, g-values {r.g_values}"
         )
     if rep.witness_rho_times_2 is None:
-        print("semi-equivelar: no qualifying embedding")
+        lines.append("semi-equivelar: no qualifying embedding")
     else:
         eps = ", ".join(str(e) for e in rep.witness_permutations)
-        print(
+        lines.append(
             f"semi-equivelar witness: rho {_format_rho(rep.witness_rho_times_2)} "
             f"via {eps}"
         )
+    print("\n".join(lines))
     return 0
 
 
@@ -159,7 +187,7 @@ def _cmd_search(args) -> int:
     spec = search.SearchSpec.from_json_dict(data)
     report = search.search_report(spec, max_order=args.budget)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(_indented(report.to_json_dict()))
         return 0
     print(f"exhaustive: {'yes' if report.exhaustive else 'no'}")
     print(f"hits: {len(report.gems)}")
@@ -174,7 +202,7 @@ def _cmd_search(args) -> int:
 def _cmd_types(args) -> int:
     solutions = search.enumerate_embedding_types(args.chi, args.qmax)
     if args.json:
-        print(json.dumps([s.to_json_dict() for s in solutions], indent=2))
+        print(_indented([s.to_json_dict() for s in solutions]))
         return 0
     print(f"chi {args.chi}: {len(solutions)} embedding types")
     width = max((len(s.type_str()) for s in solutions), default=4)
@@ -187,7 +215,7 @@ def _cmd_catalog(args) -> int:
     if args.name is None:
         manifest = generators.catalog_manifest()
         if args.json:
-            print(json.dumps(manifest, indent=2))
+            print(_indented(manifest))
             return 0
         for entry in manifest:
             flag = "" if entry["enabled"] else "  [disabled]"

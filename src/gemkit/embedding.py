@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import (
     ColoredGraph,
@@ -68,8 +69,12 @@ class CyclicPermutation:
             (self.order[i], self.order[(i + 1) % k]) for i in range(k)
         )
 
-    def __str__(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:  # once per object; _arrangements keeps its objects
         return "(" + ",".join(str(c) for c in self.order) + ")"
+
+    def __str__(self) -> str:
+        return self._text
 
 
 def all_cyclic_permutations(d: int) -> list[CyclicPermutation]:
@@ -203,12 +208,11 @@ def regular_genus(g: ColoredGraph) -> RegularGenus:
     """Minimize the embedding genus over all canonical arrangements."""
     if not g.is_connected():
         raise NotConnectedError("regular genus needs a connected graph")
-    d = g.dimension
-    n = g.vertex_count
     gvals = _g_values(_pair_table(g))
+    base = 2 - (1 - g.dimension) * g.vertex_count // 2
     rho2 = {
-        eps: 2 - sum(gvals[pair] for pair in pairs) - (1 - d) * n // 2
-        for eps, pairs in _arrangements(d)
+        eps: base - sum(map(gvals.__getitem__, pairs))
+        for eps, pairs in _arrangements(g.dimension)
     }
     best = min(rho2.values())
     winners = tuple(eps for eps, r2 in rho2.items() if r2 == best)
@@ -283,7 +287,7 @@ def _check_bigons(bigons: str) -> None:
         raise ValueError(f"bigons must be 'include' or 'exclude', got {bigons!r}")
 
 
-def _signature(per_pair: Sequence[list[int]], bigons: str) -> Optional[TypeSignature]:
+def _signature(per_pair: Iterable[list[int]], bigons: str) -> Optional[TypeSignature]:
     """The signature all vertices share, given one face-length list per pair."""
     rows = zip(*per_pair)
     raw = next(rows)
@@ -300,6 +304,19 @@ def _signature(per_pair: Sequence[list[int]], bigons: str) -> Optional[TypeSigna
         if _canonical_cyclic(row) != first:
             return None
     return TypeSignature(first or _canonical_cyclic(raw))
+
+
+def _witness_differences(table: dict[tuple[int, int], list[int]]) -> tuple[dict, dict]:
+    """Per pair, the face length minus vertex 0's at the first two vertices
+    whose lengths differ from vertex 0's; all-zero rows stand in for missing
+    ones.  Equal multisets have equal sums, so an arrangement whose pairs sum
+    to nonzero in a row gives that vertex and vertex 0 no common signature.
+    """
+    zero = dict.fromkeys(table, 0)
+    n = len(table[0, 1])
+    diffs = ({pair: f[v] - f[0] for pair, f in table.items()} for v in range(1, n))
+    rows = list(itertools.islice(filter(zero.__ne__, diffs), 2)) + [zero, zero]
+    return rows[0], rows[1]
 
 
 @dataclass(frozen=True)
@@ -362,18 +379,21 @@ def semi_equivelar_report(
     if not g.is_connected():
         raise NotConnectedError("semi-equivelar analysis needs a connected graph")
     _check_bigons(bigons)
-    d = g.dimension
-    n = g.vertex_count
+    base = (1 - g.dimension) * g.vertex_count // 2
     orientable = is_bipartite(g)
     table = _pair_table(g)
     gvals = _g_values(table)
+    w1, w2 = _witness_differences(table)
     reports = []
-    for eps, pairs in _arrangements(d):
-        gv = tuple(gvals[pair] for pair in pairs)
-        chi = sum(gv) + (1 - d) * n // 2
-        sig = _signature([table[pair] for pair in pairs], bigons)
+    for eps, pairs in _arrangements(g.dimension):
+        gv = tuple(map(gvals.__getitem__, pairs))
+        chi = sum(gv) + base
+        if sum(map(w1.__getitem__, pairs)) or sum(map(w2.__getitem__, pairs)):
+            sig = None  # a witness and vertex 0 see different face multisets
+        else:
+            sig = _signature(map(table.__getitem__, pairs), bigons)
         reports.append(EmbeddingReport(eps, gv, chi, 2 - chi, orientable, sig, bigons))
-    reports.sort(key=lambda r: (r.rho_times_2, r.epsilon.order))
+    reports.sort(key=operator.attrgetter("rho_times_2"))  # stable; _arrangements is in order
     qualifying = [r for r in reports if r.signature is not None]
     best = qualifying[0].rho_times_2 if qualifying else None
     winners = tuple(r.epsilon for r in qualifying if r.rho_times_2 == best)

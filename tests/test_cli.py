@@ -7,7 +7,13 @@ import pytest
 
 from gemkit import cli, generators
 from gemkit import io as gio
-from gemkit.generators import catalog, lens_gem, rp2_sum_gem, standard_sphere
+from gemkit.generators import (
+    catalog,
+    lens_gem,
+    rp2_sum_gem,
+    sphere_times_circle_gem,
+    standard_sphere,
+)
 
 from helpers import random_gem
 
@@ -342,8 +348,10 @@ def test_search_rejects_deeply_nested_spec(capsys, monkeypatch, tmp_path):
 
 
 
-# SHA-256 of the stdout of `gemkit analyze`, text and --json, as produced
-# when each arrangement walked its own color pairs.
+# SHA-256 of the stdout of `gemkit analyze`, text and --json.  The first three
+# were taken when each arrangement walked its own color pairs, the d = 7 ones
+# when every report was checked per vertex and printed by the standard
+# library's encoder.
 PINNED_ANALYZE = [
     (
         "torus-4.8.8",
@@ -363,6 +371,18 @@ PINNED_ANALYZE = [
         "ceaabced412c25e5071438504fa25074376a2efed4ab1e63b67cd5f87d5d2d12",
         "ff96c9dba0a78136a1985d0fc0470b7726455a9c98b2c5da8928565afea9c2f5",
     ),
+    (
+        "random-d7-n20",
+        "exclude",
+        "1b349c7a52e983963ae87ebe8e118b51e2b354b5cb5a2f5d067b6d83d7765ebb",
+        "8a083b142c289510d9d858b0f99605401292c1be77f6b842a1acf6c691597a37",
+    ),
+    (
+        "sphere-circle-7",
+        "include",
+        "560e6facd88976aa741140bd71f92bdf008b9a53480881672ba568c3619bdb13",
+        "31a51c5a4bc811053456b4e45d18030c5d2e30c06340120af9434cd168be74cf",
+    ),
 ]
 
 
@@ -371,6 +391,10 @@ def _pinned_gem(name):
         return catalog(name)
     if name == "lens-5-2-2":
         return lens_gem(5, 2, 2)
+    if name == "random-d7-n20":
+        return random_gem(random.Random(7), 7, 20)
+    if name == "sphere-circle-7":
+        return sphere_times_circle_gem(7)
     return random_gem(random.Random(5), 5, 16)
 
 
@@ -383,3 +407,35 @@ def test_analyze_output_pinned(capsys, monkeypatch, name, bigons, text_digest, j
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the stdout of the other commands that print indented JSON, as
+# produced by the standard library's encoder.
+PINNED_INDENTED = [
+    (
+        "types",
+        ["types", "--chi", "-2", "--json"],
+        "b77bf1ba668170ad244cdb0a34e09578a2df349b334499a5c9e9242a5a6d0010",
+    ),
+    (
+        "search",
+        ["search", "--spec", "{spec}", "--json"],
+        "285716ff6e71568495ef09bfb65b7fa0e0702151d4b97edd0ead0c423ca03887",
+    ),
+    (
+        "catalog",
+        ["catalog", "--list", "--json"],
+        "bb432eabcf8c05b6618f01ca38163ab892996a4e190dfd1f7f853c491b30032c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", [p[1:] for p in PINNED_INDENTED], ids=[p[0] for p in PINNED_INDENTED]
+)
+def test_indented_output_pinned(capsys, monkeypatch, tmp_path, argv, digest):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"colors": 3, "order": 12, "vertex_types": [4, 6, 12]}))
+    code, out, _ = run(capsys, monkeypatch, [a.format(spec=spec) for a in argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
