@@ -69,12 +69,8 @@ class CyclicPermutation:
             (self.order[i], self.order[(i + 1) % k]) for i in range(k)
         )
 
-    @functools.cached_property
-    def _text(self) -> str:  # once per object; _arrangements keeps its objects
-        return "(" + ",".join(str(c) for c in self.order) + ")"
-
     def __str__(self) -> str:
-        return self._text
+        return "(" + ",".join(str(c) for c in self.order) + ")"
 
 
 def all_cyclic_permutations(d: int) -> list[CyclicPermutation]:
@@ -308,15 +304,17 @@ def _signature(per_pair: Iterable[list[int]], bigons: str) -> Optional[TypeSigna
 
 def _witness_differences(table: dict[tuple[int, int], list[int]]) -> tuple[dict, dict]:
     """Per pair, the face length minus vertex 0's at the first two vertices
-    whose lengths differ from vertex 0's; all-zero rows stand in for missing
-    ones.  Equal multisets have equal sums, so an arrangement whose pairs sum
-    to nonzero in a row gives that vertex and vertex 0 no common signature.
+    whose lengths differ from vertex 0's; an all-zero row stands in for a
+    missing second one, and the first is empty when every vertex sees vertex
+    0's lengths.  Equal multisets have equal sums, so an arrangement whose
+    pairs sum to nonzero in a row gives that vertex and vertex 0 no common
+    signature.
     """
     zero = dict.fromkeys(table, 0)
     n = len(table[0, 1])
     diffs = ({pair: f[v] - f[0] for pair, f in table.items()} for v in range(1, n))
-    rows = list(itertools.islice(filter(zero.__ne__, diffs), 2)) + [zero, zero]
-    return rows[0], rows[1]
+    rows = list(itertools.islice(filter(zero.__ne__, diffs), 2)) or [{}]
+    return rows[0], (rows + [zero])[1]
 
 
 @dataclass(frozen=True)
@@ -388,7 +386,7 @@ def semi_equivelar_report(
     for eps, pairs in _arrangements(g.dimension):
         gv = tuple(map(gvals.__getitem__, pairs))
         chi = sum(gv) + base
-        if sum(map(w1.__getitem__, pairs)) or sum(map(w2.__getitem__, pairs)):
+        if w1 and (sum(map(w1.__getitem__, pairs)) or sum(map(w2.__getitem__, pairs))):
             sig = None  # a witness and vertex 0 see different face multisets
         else:
             sig = _signature(map(table.__getitem__, pairs), bigons)
