@@ -92,12 +92,12 @@ def _arrangements(
     if d == 1:
         out = [CyclicPermutation((0, 1))]
     else:
+        # permutations() yields rest in lexicographic order, so out is sorted
         out = [
             CyclicPermutation((0,) + rest)
             for rest in itertools.permutations(range(1, d + 1))
             if rest[0] < rest[-1]
         ]
-        out.sort(key=lambda e: e.order)
     shared = {p: p for p in itertools.permutations(range(d + 1), 2)}
     return tuple((eps, tuple(map(shared.get, eps.pairs()))) for eps in out)
 
@@ -141,16 +141,18 @@ class TypeSignature:
         The canonical representative of a non-constant cyclic word never
         wraps a run, so linear run-length grouping is already cyclic.
         """
-        runs: list[tuple[int, int]] = []
-        for value, grp in itertools.groupby(self.faces):
-            runs.append((value, len(tuple(grp))))
-        return tuple(runs)
+        return _runs(self.faces)
 
     def has_bigon(self) -> bool:
         return 2 in self.faces
 
     def __str__(self) -> str:
         return condensed_str(self.condensed)
+
+
+def _runs(word: Iterable[object]) -> tuple[tuple[object, int], ...]:
+    """Maximal runs of equal entries as (entry, multiplicity) pairs."""
+    return tuple((value, len(tuple(grp))) for value, grp in itertools.groupby(word))
 
 
 def condensed_str(runs: Iterable[tuple[object, int]]) -> str:

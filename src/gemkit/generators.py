@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .core import ColoredGraph, is_bipartite, is_contracted, residue_count
@@ -425,18 +425,7 @@ class CatalogEntry:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "surface": self.surface,
-            "faces": self.faces,
-            "order": self.order,
-            "orientable": self.orientable,
-            "chi": self.chi,
-            "parametric": self.parametric,
-            "parameter": self.parameter,
-            "enabled": self.enabled,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _prism_sphere(p: int) -> ColoredGraph:

@@ -22,8 +22,8 @@ def to_json_dict(g: ColoredGraph) -> dict:
     }
 
 
-def to_json(g: ColoredGraph, indent: int | None = None) -> str:
-    return json.dumps(to_json_dict(g), indent=indent)
+def to_json(g: ColoredGraph) -> str:
+    return json.dumps(to_json_dict(g))
 
 
 def from_json_dict(data: object) -> ColoredGraph:

@@ -18,21 +18,25 @@ cycle of a cyclically consecutive color pair adds its length to a count at
 every vertex on it when it closes, and a vertex holding more cycles of one
 length than the multiset allows cuts the branch.  The counts also bound
 each open path of such a pair: a path cannot outgrow the longest cycle
-that every vertex on it may still lie on.  A bipartite-only spec
-keeps a parity union-find over the vertices, and an edge that would close
-an odd cycle cuts the branch.  These cuts only drop branches whose leaves
-would all fail the leaf filter.
+that every vertex on it may still lie on.  These cuts only drop branches
+whose leaves would all fail the leaf filter.  A bipartite-only spec builds
+no odd cycle at all: it covers only the parity normal form, in which every
+edge joins an even and an odd vertex.  Swapping the ends of some color-0
+edges brings every bipartite graph into that form and leaves color 0 as
+it is, so every class keeps a representative.
 
 Colors 1 and 2 also skip symmetric partners (one orbit rule, see
 ``_matching_dfs``): components of the lower colors that are untouched so
 far and of one size are interchangeable, so a partner among them is only
-tried at the least vertex of the lowest one.  Color 1 also pins the edge
-(1 2) when bigons of colors 0 and 1 are excluded.  The hits come in
-lexicographic order and are a subsequence of the hits of the same search
-without the rule that keeps the first hit of every color-fixed class, so
-deduplication returns the same representatives.  Results are deduplicated
-by exact canonical forms under color permutation; an empty result therefore
-means a completed search, never a truncated one.
+tried at the least vertex of the lowest one (in the normal form, its least
+vertex of the partner's parity).  Color 1 also pins the edge (1 2) when
+bigons of colors 0 and 1 are excluded.  The hits come in lexicographic
+order and hold the first hit of every color-fixed class among the graphs
+the search covers; without the normal form they are a subsequence of the
+hits of the same search without the rule, so deduplication returns the
+same representatives.  Results are deduplicated by exact canonical forms
+under color permutation; an empty result therefore means a completed
+search, never a truncated one.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .embedding import (
     CyclicPermutation,
     _canonical_cyclic,
     _face_lengths,
+    _runs,
     condensed_str,
     euler_characteristic,
     face_cycle_type,
@@ -105,10 +110,6 @@ class TypeSolution:
         }
 
 
-def _runs_of(t: tuple) -> tuple[tuple[object, int], ...]:
-    return tuple((v, len(tuple(g))) for v, g in itertools.groupby(t))
-
-
 def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
     """All embedding types whose counting identity admits the given chi.
 
@@ -152,7 +153,7 @@ def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
                 order = p
             # A cyclic word determines its multiset, so no two combos share one.
             for arrangement in _cyclic_arrangements(combo):
-                out.append(TypeSolution(_runs_of(arrangement), order, chi))
+                out.append(TypeSolution(_runs(arrangement), order, chi))
     if chi > 0:
         order = "q" if chi == 1 else f"{chi}q"
         out.append(TypeSolution((( 4, 2), ("q", 1)), order, chi))
@@ -359,34 +360,49 @@ def _matching_dfs(
     stack of frames, so the search takes no Python frame per level.  A
     frame matches the least free vertex ``u`` of its color: it holds the
     partner tried last, the last partner allowed, its color's state and the
-    undo record of the edge it has in place (merged path ends, counted
-    cycles, hung parity root).  Re-entering a frame undoes that edge and
-    scans the remaining partners; placing an edge pushes a frame for the
-    next free vertex, opens the next color, or at the last color tests the
-    leaf.  Partners ascend at every frame, so the hits come in
-    lexicographic order of their matchings.
+    undo record of the edge it has in place (merged path ends and counted
+    cycles).  Re-entering a frame undoes that edge and scans the remaining
+    partners; placing an edge pushes a frame for the next free vertex, opens
+    the next color, or at the last color tests the leaf.  Partners ascend
+    at every frame, so the hits come in lexicographic order of their
+    matchings.
 
     A cycle that closes at a length ``_allowed_map(spec)`` forbids, or a
     path already too long to close at an allowed one, prunes the branch.
     When pair (0, 1) excludes bigons, color 1 starts from a frame for vertex
     1 whose last partner is 2, pinning the edge (1 2): vertex 1 needs a
-    partner outside its block, and relabeling makes it 2.
+    partner outside its block, and swapping that block with block 1 (which
+    keeps parities) makes it 2.
+
+    With ``spec.bipartite == "only"`` the search covers only the parity
+    normal form: ``u`` takes partners of the other parity only, so every
+    edge joins an even and an odd vertex and no odd cycle is built.  Every
+    bipartite graph over the fixed color 0 is color-fixed isomorphic to one
+    in this form: each block (2t, 2t+1) has one end on either side, and
+    swapping the ends of the blocks whose even end is not on vertex 0's
+    side maps color 0 onto itself.  So every color-fixed class keeps a
+    representative, though not the labeling found without the normal form.
 
     The orbit rule, for colors c = 1 and 2: a component of colors 0..c-1
     (a block for c = 1, an alternating cycle for c = 2) is untouched while
-    it holds no color-c edge and not ``u``.  Untouched components of one
-    size are isomorphic and each is vertex-transitive under the
-    automorphisms of colors 0..c-1, so all their vertices lie in one orbit
-    of the automorphisms that fix ``u`` and every placed color-c edge.  A
-    partner in an untouched component is only tried when it is the least
-    vertex of the lowest untouched component of its size.  If the first hit
-    H of a color-fixed class took a skipped partner v', the automorphism
-    mapping v' to the kept partner maps H to a graph of the same class that
-    agrees with H before this frame and takes a smaller partner here: an
-    earlier hit, which contradicts H being first.  So the hits are a
-    subsequence of those without the rule and still hold the first hit of
-    every color-fixed class.  Color 3 of a 4-color search keeps every
-    partner: components of three colors need not be vertex-transitive.
+    it holds no color-c edge and not ``u``.  In the normal form only
+    side-preserving automorphisms (even vertices to even ones) keep a graph
+    in the search; without it every automorphism does.  Untouched
+    components of one size are isomorphic by a side-preserving map of their
+    least vertices, which are even, and within one the side-preserving
+    automorphisms of colors 0..c-1 reach every vertex of a parity: a block
+    holds one of each, and an alternating cycle rotates by two steps.  So
+    the partners ``u`` may take in untouched components of one size lie in
+    one orbit of the side-preserving automorphisms that fix ``u`` and every
+    placed color-c edge, and only the least of them is tried: the least
+    such partner in the lowest untouched component of that size.  If the
+    first hit H of a color-fixed class took a skipped partner v', the
+    automorphism mapping v' to the kept partner maps H to a graph of the
+    same class in the search that agrees with H before this frame and takes
+    a smaller partner here: an earlier hit, which contradicts H being
+    first.  So the hits still hold the first hit of every color-fixed
+    class.  Color 3 of a 4-color search keeps every partner: components of
+    three colors need not be vertex-transitive.
 
     With ``spec.vertex_types`` (the leaf filter's per-vertex face multiset
     over the cyclically consecutive color pairs), every cycle of such a
@@ -409,14 +425,6 @@ def _matching_dfs(
     would lower them further, so they stay sound bounds.  A pair whose
     rooms all equal its longest length keeps only the ``maxlen`` test.
 
-    With ``spec.bipartite == "only"``, a parity union-find over the
-    vertices, seeded from color 0, records which side of the bipartition
-    each vertex takes relative to its root.  An edge whose ends already lie
-    on one side closes an odd cycle, so every leaf below it would fail the
-    leaf filter and the branch is cut; any other edge joins the two sides
-    and is unjoined on backtrack.  Union by size without path compression
-    keeps each undo to two entries.
-
     Returns the surviving graphs and whether the space was fully explored
     (``limit`` stops it after that many hits; below 1 it raises
     ``ValueError``).  A pair allowed no length at all has no gem: the search
@@ -429,7 +437,12 @@ def _matching_dfs(
     if any(lens is not None and not lens for lens in allowed.values()):
         return [], True
     mats: list[list[int]] = [list(_standard_matching(n))]
-    bipartite = spec.bipartite == "only"
+    # In the parity normal form u takes partners of the other parity only
+    # (a new frame's v is set so that v + step is u + 1), and v & mask is
+    # the least vertex of v's block: least[k] exactly when v is the least
+    # vertex of its parity in component k.  Otherwise v & mask is v.
+    step = 2 if spec.bipartite == "only" else 1
+    mask = ~1 if step == 2 else ~0
 
     # seen[v][f] counts the cycles of length f through v that the search
     # closed in tracked pairs; cap[f] is how many the vertex type allows.
@@ -441,43 +454,6 @@ def _matching_dfs(
     seen = [[0] * (n + 1) for _ in range(n)]
     free_desc = sorted(set(spec.vertex_types or ()), reverse=True)
     everything = frozenset(range(2, n + 1, 2))
-
-    # up[v] is v's parent in the parity union-find, flip[v] whether v sits
-    # on the other side from it (read only while v has a parent), size[r]
-    # the number of vertices under root r.
-    up = list(range(n))
-    flip = [0] * n
-    size = [1] * n
-
-    def join(u: int, v: int) -> Optional[int]:
-        """Put u and v on opposite sides; None if they share a side.
-
-        Returns the root hung below the other root, or -1 when u and v were
-        already on opposite sides of one tree.
-        """
-        pu = pv = 0
-        while up[u] != u:
-            pu ^= flip[u]
-            u = up[u]
-        while up[v] != v:
-            pv ^= flip[v]
-            v = up[v]
-        if u == v:
-            return None if pu == pv else -1
-        if size[u] < size[v]:
-            u, v = v, u
-        up[v] = u
-        flip[v] = pu ^ pv ^ 1
-        size[u] += size[v]
-        return v
-
-    def unjoin(r: int) -> None:
-        size[up[r]] -= size[r]
-        up[r] = r
-
-    if bipartite:
-        for t in range(0, n, 2):
-            join(t, t + 1)
 
     def count_closed(u: int, v: int, m: list[int], tracks: list) -> Optional[list]:
         """Count the tracked cycles that edge uv of m closes; None on overflow."""
@@ -568,10 +544,10 @@ def _matching_dfs(
 
     a01 = allowed[(0, 1)]
     u, last = (1, 2) if a01 is not None and 2 not in a01 else (0, n - 1)
-    frames: list[tuple] = [(u, u, last, open_color(1), (), (), -1)]
+    frames: list[tuple] = [(u, u + 1 - step, last, open_color(1), (), ())]
     hits: list[ColoredGraph] = []
     while frames:
-        u, v, last, color, merged, counted, hung = frames[-1]
+        u, v, last, color, merged, counted = frames[-1]
         c, m, states, tracks, comp, comp_size, least, touched = color
         ku = comp[u]
         if m[u] >= 0:  # undo the edge uv this frame placed
@@ -585,14 +561,12 @@ def _matching_dfs(
             touched[comp[v]] -= 1
             if counted:
                 uncount(counted)
-            if hung >= 0:
-                unjoin(hung)
-        for v in range(v + 1, last + 1):
+        for v in range(v + step, last + 1, step):
             if m[v] >= 0:
                 continue
             k = comp[v]
             if not touched[k] and k != ku and (
-                v != least[k]
+                v & mask != least[k]
                 or any(
                     not touched[j] and comp_size[j] == comp_size[k]
                     for j in range(ku + 1, k)
@@ -609,17 +583,10 @@ def _matching_dfs(
                     verts > room[u] or verts > room[v]
                 ):
                     break
-            else:  # no path cut: try the parity and vertex-type cuts
-                hung = -1
-                if bipartite:
-                    hung = join(u, v)
-                    if hung is None:
-                        continue
+            else:  # no path cut: try the vertex-type cut
                 counted = count_closed(u, v, m, tracks) if closes and tracks else ()
                 if counted is not None:
                     break  # uv passes every cut
-                if hung >= 0:
-                    unjoin(hung)
         else:
             frames.pop()
             continue
@@ -635,12 +602,12 @@ def _matching_dfs(
                 if room is not None:
                     room[a] = room[b] = room[u] if room[u] < room[v] else room[v]
                 merged.append((end, plen, room, a, b))
-        frames[-1] = (u, v, last, color, merged, counted, hung)
+        frames[-1] = (u, v, last, color, merged, counted)
         if -1 in m:
             u = m.index(-1)
-            frames.append((u, u, n - 1, color, (), (), -1))
+            frames.append((u, u + 1 - step, n - 1, color, (), ()))
         elif c + 1 < num_colors:
-            frames.append((0, 0, n - 1, open_color(c + 1), (), (), -1))
+            frames.append((0, 1 - step, n - 1, open_color(c + 1), (), ()))
         else:
             g = ColoredGraph([tuple(x) for x in mats])
             if leaf(g):

@@ -11,9 +11,10 @@ A few gems were re-pinned when their construction rule changed: the two
 (4,6,12) catalog entries when they became the first hits of a direct
 order-24 search instead of double covers of an order-12 gem, the two fixed
 sphere entries when they became first search hits instead of a prism and a
-hand-written literal, and ``rp2_sum_gem(2)`` when it dropped its fixed
-matching for the closed form of every other n.  ``PREVIOUS`` keeps each old
-matching and checks that the new gem is the same one, relabeled.
+hand-written literal, ``rp2_sum_gem(2)`` when it dropped its fixed matching
+for the closed form of every other n, and the five orientable search entries
+when bipartite searches kept to the parity normal form.  ``PREVIOUS`` keeps
+each old matching and checks that the new gem is the same one, relabeled.
 """
 
 import hashlib
@@ -111,12 +112,12 @@ GOLDEN = {
     ('torus_sum_gem', 200): "8debd42047484ac67657087b7ac86d8544703edef185811aa4a95be58ac01d6a",
     ('catalog', 'rp2-4.4.4'): "21744bbd2a45e10be51a5c435b56ed562f742f88c4b53252b13fe8c3bc5c9e6c",
     ('catalog', 'rp2-4.4.2p'): "6815c4ae8a23bad6c79079f2430acb43ed2bb8c65ba77563584b86f7e46ceac9",
-    ('catalog', 's2-4.4.4'): "18e5ffa7d4ae8a161c01ed588baf00477a9e5e1099dfa047c14fa7b4cbb1ae97",
+    ('catalog', 's2-4.4.4'): "238ec184857a0fa4517968ba58d2b235ccf6dc465d535aee8cbda5f17281697d",
     ('catalog', 's2-4.4.p'): "2e84871de3128af5f6cd2e943daf0efc97d8d0a00d36614cbc12b9291b01759e",
-    ('catalog', 's2-6.6.4'): "30902c209311c98a895e30be47c1eac8a6f6dea18ad9a9acb861316bcb779401",
-    ('catalog', 'torus-6.6.6'): "fac648fca07c539471d71f69616f1a888e45fe6f84bd183b03a972e12f2f1fa1",
-    ('catalog', 'torus-4.8.8'): "4e646a6c7c4c65ddb817933a7e17d1d62d66e2af148c5a39bb262e9abd4f0490",
-    ('catalog', 'torus-4.6.12'): "ced0f8b707dae9e41a88b687773e0b1b17f442823dbbe07722f621a7fc99f65a",
+    ('catalog', 's2-6.6.4'): "34840a37339caa0e3750b5561c2d47f555fb200c4ebd0bf083f55ee1af900450",
+    ('catalog', 'torus-6.6.6'): "8dd326dfd1b315793d3a0421f5762685c96e3f204d74b79c2c77a536f1805096",
+    ('catalog', 'torus-4.8.8'): "5d1d94e9ac3abe8585ddadedc10f2a018675decc2d0c6c840fec6bf05d3abb7d",
+    ('catalog', 'torus-4.6.12'): "3bbe8569a49cee558ddef0ebcb943ae8b9b6c6d05ba1d3752fd8d58a0eadd66f",
     ('catalog', 'klein-6.6.6'): "104e82cb86d8341921ad5b16c8c83935898e54491b6ce71181eb13a5c2fcab41",
     ('catalog', 'klein-4.8.8'): "c37a2e75840d45177c6177a724778cd0eb2af2fac52ed654b376a3bd12a71fd9",
     ('catalog', 'klein-4.6.12'): "ab715d519add962b2b0483d3a7ae56a495440a1b78da5843b2bd37de9ffc5eae",
@@ -151,49 +152,96 @@ GOLDEN = {
 }
 
 
-# The matchings of each re-pinned gem as the previous rule built them, with
-# the SHA-256 it was pinned at and the color map of the witness that carries
-# it onto the new gem.  The (4,6,12) entries came from the double-cover
-# detour, s2-4.4.4 from the p = 4 prism, s2-6.6.4 from a hand-written literal
-# with its squares on colors {1,2} (the search puts them on {0,1}), and
-# rp2_sum_gem(2) from the order-6 Klein bottle gem's third matching.
+# The matchings of each re-pinned gem as earlier rules built them, oldest
+# first, each with the SHA-256 it was pinned at and the color map of the
+# witness that carries it onto the new gem.  The (4,6,12) entries came first
+# from the double-cover detour, s2-4.4.4 from the p = 4 prism, s2-6.6.4 from
+# a hand-written literal with its squares on colors {1,2} (the search puts
+# them on {0,1}), and rp2_sum_gem(2) from the order-6 Klein bottle gem's
+# third matching.  The five orientable search entries were then the first
+# hits of a search that did not keep to the parity normal form (every edge
+# joins an even and an odd vertex); each is the same gem relabeled with
+# colors fixed.
 PREVIOUS = {
     ("catalog", "torus-4.6.12"): (
-        "b80ee1c1a7bb3a906826c12bf31dfff29fca1b9e3d5dcaa312a5449522915acc",
-        [
-            [13, 12, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 1, 0, 15, 14, 17, 16, 19, 18, 21, 20, 23, 22],
-            [3, 14, 13, 0, 6, 7, 4, 5, 10, 11, 8, 9, 15, 2, 1, 12, 18, 19, 16, 17, 22, 23, 20, 21],
-            [4, 8, 7, 11, 0, 21, 10, 2, 1, 17, 6, 3, 16, 20, 19, 23, 12, 9, 22, 14, 13, 5, 18, 15],
-        ],
-        (0, 1, 2),
+        (
+            "b80ee1c1a7bb3a906826c12bf31dfff29fca1b9e3d5dcaa312a5449522915acc",
+            [
+                [13, 12, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 1, 0, 15, 14, 17, 16, 19, 18, 21, 20, 23, 22],
+                [3, 14, 13, 0, 6, 7, 4, 5, 10, 11, 8, 9, 15, 2, 1, 12, 18, 19, 16, 17, 22, 23, 20, 21],
+                [4, 8, 7, 11, 0, 21, 10, 2, 1, 17, 6, 3, 16, 20, 19, 23, 12, 9, 22, 14, 13, 5, 18, 15],
+            ],
+            (0, 1, 2),
+        ),
+        (
+            "ced0f8b707dae9e41a88b687773e0b1b17f442823dbbe07722f621a7fc99f65a",
+            [
+                [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 19, 18, 21, 20, 23, 22],
+                [3, 2, 1, 0, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, 18, 19, 16, 17, 22, 23, 20, 21],
+                [4, 8, 7, 12, 0, 9, 13, 2, 1, 5, 16, 20, 3, 6, 19, 23, 10, 21, 22, 14, 11, 17, 18, 15],
+            ],
+            (0, 1, 2),
+        ),
     ),
     ("catalog", "klein-4.6.12"): (
-        "8aa54724a7c5f867a70de82ab57bb3e004b3a4dcea7c69cef2b98e6f146ed752",
-        [
-            [1, 0, 15, 14, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 3, 2, 17, 16, 19, 18, 21, 20, 23, 22],
-            [3, 14, 13, 0, 6, 7, 4, 5, 10, 11, 8, 9, 15, 2, 1, 12, 18, 19, 16, 17, 22, 23, 20, 21],
-            [2, 4, 0, 17, 1, 15, 8, 11, 6, 10, 9, 7, 14, 16, 12, 5, 13, 3, 20, 23, 18, 22, 21, 19],
-        ],
-        (0, 1, 2),
+        (
+            "8aa54724a7c5f867a70de82ab57bb3e004b3a4dcea7c69cef2b98e6f146ed752",
+            [
+                [1, 0, 15, 14, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 3, 2, 17, 16, 19, 18, 21, 20, 23, 22],
+                [3, 14, 13, 0, 6, 7, 4, 5, 10, 11, 8, 9, 15, 2, 1, 12, 18, 19, 16, 17, 22, 23, 20, 21],
+                [2, 4, 0, 17, 1, 15, 8, 11, 6, 10, 9, 7, 14, 16, 12, 5, 13, 3, 20, 23, 18, 22, 21, 19],
+            ],
+            (0, 1, 2),
+        ),
     ),
     ("catalog", "s2-4.4.4"): (
-        "dd493a85cbde4e3e4843d7087ebeaab30da2052a786fd62f88bd1b172f933bc9",
-        [[1, 0, 3, 2, 5, 4, 7, 6], [4, 5, 6, 7, 0, 1, 2, 3], [3, 2, 1, 0, 7, 6, 5, 4]],
-        (0, 1, 2),
+        ("dd493a85cbde4e3e4843d7087ebeaab30da2052a786fd62f88bd1b172f933bc9", [[1, 0, 3, 2, 5, 4, 7, 6], [4, 5, 6, 7, 0, 1, 2, 3], [3, 2, 1, 0, 7, 6, 5, 4]], (0, 1, 2)),
+        ("18e5ffa7d4ae8a161c01ed588baf00477a9e5e1099dfa047c14fa7b4cbb1ae97", [[1, 0, 3, 2, 5, 4, 7, 6], [3, 2, 1, 0, 6, 7, 4, 5], [4, 5, 7, 6, 0, 1, 3, 2]], (0, 1, 2)),
     ),
     ("catalog", "s2-6.6.4"): (
-        "cdb77b92f16025e18161f4dcb74f618e78cefef7cb6504e666b73f4b4aea01f6",
-        [
-            [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 23, 20, 19, 22, 21, 18],
-            [5, 2, 1, 4, 3, 0, 17, 18, 19, 10, 9, 20, 21, 14, 13, 22, 23, 6, 7, 8, 11, 12, 15, 16],
-            [17, 14, 13, 10, 9, 6, 5, 8, 7, 4, 3, 12, 11, 2, 1, 16, 15, 0, 19, 18, 21, 20, 23, 22],
-        ],
-        (2, 0, 1),
+        (
+            "cdb77b92f16025e18161f4dcb74f618e78cefef7cb6504e666b73f4b4aea01f6",
+            [
+                [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 23, 20, 19, 22, 21, 18],
+                [5, 2, 1, 4, 3, 0, 17, 18, 19, 10, 9, 20, 21, 14, 13, 22, 23, 6, 7, 8, 11, 12, 15, 16],
+                [17, 14, 13, 10, 9, 6, 5, 8, 7, 4, 3, 12, 11, 2, 1, 16, 15, 0, 19, 18, 21, 20, 23, 22],
+            ],
+            (2, 0, 1),
+        ),
+        (
+            "30902c209311c98a895e30be47c1eac8a6f6dea18ad9a9acb861316bcb779401",
+            [
+                [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, 17, 16, 19, 18, 21, 20, 23, 22],
+                [3, 2, 1, 0, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, 18, 19, 16, 17, 22, 23, 20, 21],
+                [4, 8, 12, 16, 0, 9, 18, 20, 1, 5, 14, 22, 2, 17, 10, 23, 3, 13, 6, 21, 7, 19, 11, 15],
+            ],
+            (0, 1, 2),
+        ),
+    ),
+    ("catalog", "torus-6.6.6"): (
+        (
+            "fac648fca07c539471d71f69616f1a888e45fe6f84bd183b03a972e12f2f1fa1",
+            [
+                [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10],
+                [4, 2, 1, 5, 0, 3, 8, 10, 6, 11, 7, 9],
+                [3, 6, 7, 0, 9, 11, 1, 2, 10, 4, 8, 5],
+            ],
+            (0, 1, 2),
+        ),
+    ),
+    ("catalog", "torus-4.8.8"): (
+        (
+            "4e646a6c7c4c65ddb817933a7e17d1d62d66e2af148c5a39bb262e9abd4f0490",
+            [
+                [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14],
+                [3, 2, 1, 0, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13],
+                [4, 6, 8, 10, 0, 12, 1, 13, 2, 15, 3, 14, 5, 7, 11, 9],
+            ],
+            (0, 1, 2),
+        ),
     ),
     ("rp2_sum_gem", 2): (
-        "b31d225f72d43e968571c985ae9a15604e3fe15ff6336b5529acd25dec4b4c4d",
-        [[1, 0, 3, 2, 5, 4], [5, 2, 1, 4, 3, 0], [3, 5, 4, 0, 2, 1]],
-        (0, 1, 2),
+        ("b31d225f72d43e968571c985ae9a15604e3fe15ff6336b5529acd25dec4b4c4d", [[1, 0, 3, 2, 5, 4], [5, 2, 1, 4, 3, 0], [3, 5, 4, 0, 2, 1]], (0, 1, 2)),
     ),
 }
 
@@ -202,26 +250,26 @@ def _digest(matchings) -> str:
     return hashlib.sha256(json.dumps(matchings).encode()).hexdigest()
 
 
-def _assert_relabels_the_previous_gem(key):
-    digest, matchings, color_map = PREVIOUS[key]
-    assert _digest(matchings) == digest
-    old = ColoredGraph(matchings)
+def _assert_relabels_the_previous_gems(key):
     name, *args = key
     new = getattr(generators, name)(*args)
-    mode = "color-fixed" if color_map == (0, 1, 2) else "color-permuting"
-    witness = isomorphic(old, new, mode)
-    assert witness is not None
-    assert witness.color_map == color_map
-    assert witness.valid_between(old, new)
+    for digest, matchings, color_map in PREVIOUS[key]:
+        assert _digest(matchings) == digest
+        old = ColoredGraph(matchings)
+        mode = "color-fixed" if color_map == (0, 1, 2) else "color-permuting"
+        witness = isomorphic(old, new, mode)
+        assert witness is not None
+        assert witness.color_map == color_map
+        assert witness.valid_between(old, new)
 
 
 @pytest.mark.parametrize("name", [key[1] for key in PREVIOUS if key[0] == "catalog"])
 def test_repinned_catalog_entries_relabel_the_previous_gems(name):
-    _assert_relabels_the_previous_gem(("catalog", name))
+    _assert_relabels_the_previous_gems(("catalog", name))
 
 
 def test_rp2_sum_n2_relabels_the_previous_fixed_matchings():
-    _assert_relabels_the_previous_gem(("rp2_sum_gem", 2))
+    _assert_relabels_the_previous_gems(("rp2_sum_gem", 2))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,8 @@
 """The CLI prints indented JSON through one writer, ``cli._indented``, whose
 output equals ``json.dumps(x, indent=2)`` byte for byte.
 
-Outside the writer no call in the package chooses an ``indent``: a call
-may only pass on an ``indent`` parameter of the function it is in, as
-``io.to_json`` does for library callers.
+Outside the writer no call in the package passes ``indent=`` at all, not
+even an ``indent`` parameter of the function it is in.
 """
 
 import ast
@@ -20,25 +19,18 @@ WRITER = "_indented"
 
 
 def _indent_choices(source: str) -> list[str]:
-    """Calls outside the writer whose ``indent=`` is not a parameter passed on."""
+    """Calls outside the writer that pass ``indent=``."""
     found: list[str] = []
 
-    def visit(node: ast.AST, params: set[str]) -> None:
+    def visit(node: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                if getattr(child, "name", None) != WRITER:
-                    args = {a.arg for a in ast.walk(child.args) if isinstance(a, ast.arg)}
-                    visit(child, args)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name == WRITER:
                 continue
-            if isinstance(child, ast.Call) and any(
-                kw.arg == "indent"
-                and not (isinstance(kw.value, ast.Name) and kw.value.id in params)
-                for kw in child.keywords
-            ):
+            if isinstance(child, ast.Call) and any(kw.arg == "indent" for kw in child.keywords):
                 found.append(f"line {child.lineno}")
-            visit(child, params)
+            visit(child)
 
-    visit(ast.parse(source), set())
+    visit(ast.parse(source))
     return found
 
 
@@ -57,7 +49,9 @@ def test_indent_choice_is_reported():
         "    return to_json(x, indent=args.indent) + json.JSONEncoder(indent=1).encode(x)\n"
         "print(to_json(1, indent=4))\n"
     )
-    assert _indent_choices(source) == ["line 9", "line 10", "line 11", "line 11", "line 12"]
+    assert _indent_choices(source) == [
+        "line 7", "line 9", "line 10", "line 11", "line 11", "line 12"
+    ]
 
 
 HAND_CASES = [

@@ -261,7 +261,9 @@ PINNED_HIT_LISTS = [
 _SQUARES = {(0, 1): (4,), (1, 2): (4,), (2, 3): (4,), (0, 3): (4,)}
 
 # The same for bipartite searches (the lists were already those of checking
-# bipartiteness at the leaves alone).
+# bipartiteness at the leaves alone).  Today's bipartite search covers only
+# the parity normal form, so its hits are relabelings of stored ones and are
+# checked by color-fixed class instead of as a subsequence.
 PINNED_BIPARTITE_HIT_LISTS = [
     (
         SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite="only"),
@@ -302,19 +304,19 @@ ORBIT_HIT_LISTS = {
     ),
     "d15d2179887296812815e2ccac51ed4524ba96e7280a18bd4bfa26a9854ca529": (
         9,
-        "4f4027271515e531d7038d9425653433724aad402463ae59772c1d60807f2657",
+        "a2c07a827bd2f000ca031a298fcd4936ef6ff39fc37338a5e6e159bef3562417",
     ),
     "0058d9d858bdd6852a3cf44b15310a655af89b8f04879e8503390f5086e7b586": (
         6,
-        "e096cbb89c5ebe4a01a068777316ebfabad5cd1d09354ea92034108a8fd20152",
+        "8135393767743918cb8e6fdac6b84267e62a1b8fa42c4fc43bc5d87348be1da2",
     ),
     "f26f0749fe1ba6a38a2219b8faa73fa3dfcf3b107c5c561d6d6e3d24d3ac8491": (
         3,
-        "446439ee20090bd42bd779152df084494b7ad85abd9396d034abdb9b0453d86b",
+        "5473df19ae5fda5850b4ade43a96dc73220a6c4602a81fe04bfe701d9a49bc45",
     ),
     "2abcc228adbbfba1817becb2883d6e9d9464ec229eb6e38daa28b5ff3009e7d2": (
-        35,
-        "9c657645c31312e0fb2980dee290061faf3c965a4ff39c7f40e18ea5e4c22495",
+        11,
+        "7490afdd6ad6c361581616e2d77cd036f7b2e70c1cecbede36ab7f3fbf67a151",
     ),
 }
 
@@ -323,25 +325,40 @@ def _json_digest(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
+def _fixed_classes(graphs) -> set[bytes]:
+    return {canonical_form(g, "color-fixed") for g in graphs}
+
+
+def _in_parity_normal_form(matchings) -> bool:
+    # every edge joins an even and an odd vertex
+    return all((v ^ w) & 1 for m in matchings for v, w in enumerate(m))
+
+
 @pytest.mark.parametrize(
     "spec, count, digest", PINNED_HIT_LISTS + PINNED_BIPARTITE_HIT_LISTS
 )
 def test_search_hit_lists_pinned(spec, count, digest):
     # The orbit rule only drops hits whose automorphic image came earlier, so
     # today's list is a subsequence of the stored one that still holds the
-    # first hit of every color-fixed class.
+    # first hit of every color-fixed class.  A bipartite search keeps to the
+    # parity normal form instead of the stored labelings, so there the two
+    # lists must have the same color-fixed classes.
     before = stored_hit_list(spec)
     assert len(before) == count and _json_digest(before) == digest
     hits, exhaustive = search._run_search(spec)
     assert exhaustive
     now = [[list(m) for m in g.matchings] for g in hits]
     assert all(a < b for a, b in zip(now, now[1:]))  # DFS order is lexicographic
-    rest = iter(before)
-    assert all(h in rest for h in now)
     firsts: dict[bytes, list] = {}
     for h in before:
         firsts.setdefault(canonical_form(ColoredGraph(h), "color-fixed"), h)
-    assert all(h in now for h in firsts.values())
+    if spec.bipartite == "only":
+        assert all(_in_parity_normal_form(h) for h in now)
+        assert _fixed_classes(hits) == firsts.keys()
+    else:
+        rest = iter(before)
+        assert all(h in rest for h in now)
+        assert all(h in now for h in firsts.values())
     assert (len(now), _json_digest(now)) == ORBIT_HIT_LISTS[digest]
 
 
@@ -355,7 +372,7 @@ PINNED_REPORTS = [
     ),
     (
         SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite="only"),
-        "3cfe78f225da68b712f8137b637366007cdf3cd35f711e33d3c4f612966cd4b0",
+        "ecd78aa1a68498b62d3f90afc7766c3a6cae97503fb219194cd9782214f5a1df",
     ),
     (
         SearchSpec(colors=3, order=18, pair_lengths={(0, 1): (6,), (0, 2): (6,), (1, 2): (6,)}),
@@ -422,7 +439,7 @@ ROOM_CUT_HIT_LISTS = [
     (
         SearchSpec(colors=3, order=24, vertex_types=(4, 6, 12), bipartite="only"),
         18,
-        "999e8fad33adfc3410cf36d43d20ff331c353d4916af8d56be5a5737f5433447",
+        "3d312f67d5ec04076fbe07200017a803231b0a427574519d1619553834ba28b8",
         98,
         1,
     ),
@@ -449,9 +466,11 @@ def test_vertex_types_prune_inside_the_dfs():
 
 def test_bipartite_prunes_inside_the_dfs():
     # (4,8,8)/16: the "any" spec has no parity cut, and 320 leaves reach
-    # the leaf filter, 300 of them not bipartite; the "only" spec cuts odd
-    # cycles, reaches 20 leaves, all bipartite, and hits exactly the
-    # bipartite hits of "any", in the same order.
+    # the leaf filter, 300 of them not bipartite.  The "only" spec covers
+    # the parity normal form, where every edge joins an even and an odd
+    # vertex: it reaches 20 leaves, all bipartite, for 9 hits.  Those are
+    # other labelings than the bipartite hits of "any", of the same
+    # color-fixed classes.
     runs = {
         mode: _counted_dfs(
             SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite=mode)
@@ -463,9 +482,22 @@ def test_bipartite_prunes_inside_the_dfs():
     assert sum(not oracle_is_bipartite(g) for g in plain_reached) == 300
     assert len(cut_reached) == 20
     assert all(oracle_is_bipartite(g) for g in cut_reached)
-    want = [g.matchings for g in plain if oracle_is_bipartite(g)]
-    assert [g.matchings for g in cut] == want
     assert len(cut) == 9
+    assert all(_in_parity_normal_form(g.matchings) for g in cut)
+    assert _fixed_classes(cut) == _fixed_classes(g for g in plain if oracle_is_bipartite(g))
+
+
+@pytest.mark.parametrize("order, raw", [(8, 4), (12, 11)])
+def test_bipartite_squares_search_keeps_the_color_fixed_classes(order, raw):
+    # The 4-color all-squares spec, which the 3-color brute-force oracle
+    # does not reach: the normal form's raw hits (at order 12, 11 where
+    # every bipartite labeling gave 35) fall into the same color-fixed
+    # classes as the bipartite hits of the "any" search.
+    only, _ = _counted_dfs(SearchSpec(colors=4, order=order, pair_lengths=_SQUARES, bipartite="only"))
+    plain, _ = _counted_dfs(SearchSpec(colors=4, order=order, pair_lengths=_SQUARES))
+    assert len(only) == raw
+    assert all(_in_parity_normal_form(g.matchings) for g in only)
+    assert _fixed_classes(only) == _fixed_classes(g for g in plain if oracle_is_bipartite(g))
 
 
 def test_dfs_takes_no_python_frame_per_level():

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-top-level name of the package is referenced somewhere in it.
+"""Every module of the package uses each name it imports, every private
+top-level name of the package is referenced somewhere in it, and every
+function defined inside another one is referenced in that one.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's re-exports.
@@ -71,6 +72,23 @@ def _dead_private_definitions(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def _dead_nested_functions(source: str) -> list[str]:
+    """Functions defined inside another function and never referenced in it."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, outer) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if outer is not None and child.name not in _references(outer):
+                    found.append(f"line {child.lineno}: {child.name}")
+                visit(child, child)
+            else:
+                visit(child, outer)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
@@ -79,6 +97,31 @@ def test_module_uses_every_import(path):
 def test_unused_import_is_reported():
     source = "import itertools\nfrom os import path, sep\nfrom x import y as z\nprint(sep, z)\n"
     assert _unused_imports(source) == ["line 1: itertools", "line 2: path"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_module_references_every_nested_function(path):
+    assert _dead_nested_functions(path.read_text()) == []
+
+
+def test_dead_nested_function_is_reported():
+    source = (
+        "def outer(xs):\n"
+        "    def used(x):\n        return x\n"
+        "    def dead():\n        return 2\n"
+        "    def sort_key(x):\n        return -x\n"
+        "    return sorted(map(used, xs), key=sort_key)\n"
+        "class K:\n"
+        "    def method(self):\n"
+        "        def inner():\n            pass\n"
+        "        return self.method\n"
+        "def top():\n"
+        "    def a():\n"
+        "        def deep():\n            pass\n"
+        "        return 0\n"
+        "    return a\n"
+    )
+    assert _dead_nested_functions(source) == ["line 4: dead", "line 11: inner", "line 16: deep"]
 
 
 def test_package_references_every_private_definition():
