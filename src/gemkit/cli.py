@@ -295,8 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_types)
 
     p = sub.add_parser("catalog", help="figure catalog: list or build by name")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--name")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--list", action="store_true")
+    which.add_argument("--name")
     p.add_argument("--p", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")

@@ -433,7 +433,7 @@ def canonical_form(g: ColoredGraph, mode: str = "color-fixed") -> bytes:
     enc, _, _ = canonical_labeling(g, mode)
     n = g.vertex_count
     body = [g.dimension, n] + list(enc)
-    if n < 256:
+    if max(g.dimension, n) < 256:  # labels are below n, so every entry fits a byte
         return bytes(body)
     return b",".join(str(x).encode() for x in body)
 

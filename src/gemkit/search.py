@@ -29,14 +29,15 @@ Colors 1 and 2 also skip symmetric partners (one orbit rule, see
 ``_matching_dfs``): components of the lower colors that are untouched so
 far and of one size are interchangeable, so a partner among them is only
 tried at the least vertex of the lowest one (in the normal form, its least
-vertex of the partner's parity).  Color 1 also pins the edge (1 2) when
-bigons of colors 0 and 1 are excluded.  The hits come in lexicographic
-order and hold the first hit of every color-fixed class among the graphs
-the search covers; without the normal form they are a subsequence of the
-hits of the same search without the rule, so deduplication returns the
-same representatives.  Results are deduplicated by exact canonical forms
-under color permutation; an empty result therefore means a completed
-search, never a truncated one.
+vertex of the partner's parity).  When bigons of colors 0 and 1 are
+excluded, color 1 starts at vertex 1, where that rule leaves only the
+partner 2.  The hits come in lexicographic order and hold the first hit
+of every color-fixed class among the graphs the search covers; without
+the normal form they are a subsequence of the hits of the same search
+without the rule, so deduplication returns the same representatives.
+Results are deduplicated by exact canonical forms under color
+permutation; an empty result therefore means a completed search, never a
+truncated one.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     ColoredGraph,
@@ -348,31 +349,27 @@ def _allowed_map(spec: SearchSpec) -> dict[tuple[int, int], Optional[frozenset[i
     return allowed
 
 
-def _matching_dfs(
-    spec: SearchSpec,
-    leaf: Callable[[ColoredGraph], bool],
-    limit: Optional[int] = None,
-) -> tuple[list[ColoredGraph], bool]:
-    """Enumerate the colored graphs of ``spec`` that ``leaf`` accepts.
+def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
+    """Yield every complete colored graph of ``spec`` that survives its cuts.
 
     Color 0 is the standard matching (2t, 2t+1); the free matchings are
     built in ascending color then vertex order by one loop over its own
     stack of frames, so the search takes no Python frame per level.  A
     frame matches the least free vertex ``u`` of its color: it holds the
-    partner tried last, the last partner allowed, its color's state and the
-    undo record of the edge it has in place (merged path ends and counted
-    cycles).  Re-entering a frame undoes that edge and scans the remaining
-    partners; placing an edge pushes a frame for the next free vertex, opens
-    the next color, or at the last color tests the leaf.  Partners ascend
-    at every frame, so the hits come in lexicographic order of their
-    matchings.
+    partner tried last, its color's state and the undo record of the edge
+    it has in place (merged path ends and counted cycles).  Re-entering a
+    frame undoes that edge and scans the remaining partners; placing an
+    edge pushes a frame for the next free vertex, opens the next color, or
+    at the last color yields it as a leaf for the caller to filter.
+    Partners ascend at every frame, so the leaves come in lexicographic
+    order of their matchings.
 
     A cycle that closes at a length ``_allowed_map(spec)`` forbids, or a
     path already too long to close at an allowed one, prunes the branch.
-    When pair (0, 1) excludes bigons, color 1 starts from a frame for vertex
-    1 whose last partner is 2, pinning the edge (1 2): vertex 1 needs a
-    partner outside its block, and swapping that block with block 1 (which
-    keeps parities) makes it 2.
+    When pair (0, 1) excludes bigons, color 1 starts at vertex 1 (vertex 0
+    comes next).  Partners lie above ``u``, so vertex 0 is no candidate, and
+    the orbit rule below leaves only 2: block 1 is the lowest untouched
+    block, and 2 is its least vertex (of the partner's parity too).
 
     With ``spec.bipartite == "only"`` the search covers only the parity
     normal form: ``u`` takes partners of the other parity only, so every
@@ -425,17 +422,13 @@ def _matching_dfs(
     would lower them further, so they stay sound bounds.  A pair whose
     rooms all equal its longest length keeps only the ``maxlen`` test.
 
-    Returns the surviving graphs and whether the space was fully explored
-    (``limit`` stops it after that many hits; below 1 it raises
-    ``ValueError``).  A pair allowed no length at all has no gem: the search
-    is complete and empty.
+    Yields graphs until the space is fully explored.  A pair allowed no
+    length at all has no gem: nothing is yielded.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
     n, num_colors = spec.order, spec.colors
     allowed = _allowed_map(spec)
     if any(lens is not None and not lens for lens in allowed.values()):
-        return [], True
+        return
     mats: list[list[int]] = [list(_standard_matching(n))]
     # In the parity normal form u takes partners of the other parity only
     # (a new frame's v is set so that v + step is u + 1), and v & mask is
@@ -542,12 +535,10 @@ def _matching_dfs(
                     w, j = mats[j][w], (j + 1) % c
         return c, m, states, tracks, comp, comp_size, least, [0] * len(comp_size)
 
-    a01 = allowed[(0, 1)]
-    u, last = (1, 2) if a01 is not None and 2 not in a01 else (0, n - 1)
-    frames: list[tuple] = [(u, u + 1 - step, last, open_color(1), (), ())]
-    hits: list[ColoredGraph] = []
+    u = 0 if allowed[(0, 1)] is None or 2 in allowed[(0, 1)] else 1
+    frames: list[tuple] = [(u, u + 1 - step, open_color(1), (), ())]
     while frames:
-        u, v, last, color, merged, counted = frames[-1]
+        u, v, color, merged, counted = frames[-1]
         c, m, states, tracks, comp, comp_size, least, touched = color
         ku = comp[u]
         if m[u] >= 0:  # undo the edge uv this frame placed
@@ -561,7 +552,7 @@ def _matching_dfs(
             touched[comp[v]] -= 1
             if counted:
                 uncount(counted)
-        for v in range(v + step, last + 1, step):
+        for v in range(v + step, n, step):
             if m[v] >= 0:
                 continue
             k = comp[v]
@@ -602,19 +593,14 @@ def _matching_dfs(
                 if room is not None:
                     room[a] = room[b] = room[u] if room[u] < room[v] else room[v]
                 merged.append((end, plen, room, a, b))
-        frames[-1] = (u, v, last, color, merged, counted)
+        frames[-1] = (u, v, color, merged, counted)
         if -1 in m:
             u = m.index(-1)
-            frames.append((u, u + 1 - step, n - 1, color, (), ()))
+            frames.append((u, u + 1 - step, color, (), ()))
         elif c + 1 < num_colors:
-            frames.append((0, 1 - step, n - 1, open_color(c + 1), (), ()))
+            frames.append((0, 1 - step, open_color(c + 1), (), ()))
         else:
-            g = ColoredGraph([tuple(x) for x in mats])
-            if leaf(g):
-                hits.append(g)
-                if limit is not None and len(hits) >= limit:
-                    return hits, False
-    return hits, True
+            yield ColoredGraph([tuple(x) for x in mats])
 
 
 def _standard_matching(n: int) -> tuple[int, ...]:
@@ -643,30 +629,28 @@ def _leaf_filter(spec: SearchSpec) -> Callable[[ColoredGraph], bool]:
     return leaf
 
 
-def _verify_hit(
-    g: ColoredGraph,
-    allowed: Mapping[tuple[int, int], Optional[frozenset[int]]],
-    leaf: Callable[[ColoredGraph], bool],
-) -> bool:
-    """Independent re-check of every constraint on a returned graph."""
-    for (a, b), lens in allowed.items():
-        if lens is None:
-            continue
-        if not set(bicolored_cycle_lengths(g.matchings[a], g.matchings[b])) <= lens:
-            return False
-    return leaf(g)
-
-
 def _run_search(
     spec: SearchSpec, limit: Optional[int] = None
 ) -> tuple[list[ColoredGraph], bool]:
+    """The hits of ``spec`` in search order, and whether the search ended.
+
+    Each leaf meets the leaf filter once; each hit's constrained pairs are
+    re-walked as an independent net.  ``limit`` (at least 1, else
+    ``ValueError``) stops the search after that many hits.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     leaf = _leaf_filter(spec)
-    hits, exhaustive = _matching_dfs(spec, leaf, limit)
-    allowed = _allowed_map(spec)
-    for g in hits:
-        if not _verify_hit(g, allowed, leaf):  # pragma: no cover - engine soundness net
-            raise AssertionError("search produced a graph violating its spec")
-    return hits, exhaustive
+    constrained = [(p, lens) for p, lens in _allowed_map(spec).items() if lens is not None]
+    hits: list[ColoredGraph] = []
+    for g in filter(leaf, _matching_dfs(spec)):
+        for (a, b), lens in constrained:
+            if not set(bicolored_cycle_lengths(g.matchings[a], g.matchings[b])) <= lens:
+                raise AssertionError("search produced a graph violating its spec")
+        hits.append(g)
+        if len(hits) == limit:
+            return hits, False
+    return hits, True
 
 
 def _dedup_canonical(hits: Iterable[ColoredGraph]) -> list[ColoredGraph]:

@@ -242,6 +242,14 @@ def test_catalog_listing_and_build(capsys, monkeypatch):
     assert "disabled" in err
 
 
+def test_catalog_list_and_name_are_a_usage_error(capsys):
+    # --list is never read, so the pair would silently build the gem.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["catalog", "--list", "--name", "torus-6.6.6"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_export_dot_and_json(capsys, monkeypatch):
     _, gem_json, _ = run(capsys, monkeypatch, ["gen", "sphere", "--d", "2"])
     code, out, _ = run(capsys, monkeypatch, ["export", "--format", "dot"], stdin=gem_json)

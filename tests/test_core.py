@@ -198,6 +198,17 @@ def test_canonical_form_invariance():
     assert forms == {canonical_form(g)}
 
 
+def test_canonical_form_of_more_than_255_dimensions_is_comma_separated():
+    # The body starts with the dimension, so a small gem of dimension 256
+    # cannot take the byte form either.
+    sphere = standard_sphere(256)
+    assert canonical_form(sphere) == canonical_form(sphere.relabel((1, 0)))
+    assert canonical_form(sphere).startswith(b"256,2,1,1,")
+    square = ColoredGraph([(1, 0, 3, 2), (3, 2, 1, 0)] * 128 + [(2, 3, 0, 1)])
+    assert canonical_form(square) == canonical_form(square.relabel((2, 0, 3, 1)))
+    assert canonical_form(standard_sphere(255)) == bytes([255, 2] + [1] * 256 + [0] * 256)
+
+
 def test_canonical_form_separates_lens_shifts():
     assert canonical_form(lens_gem(2, 0, 2), "color-permuting") != canonical_form(
         lens_gem(2, 1, 2), "color-permuting"

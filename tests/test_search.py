@@ -362,6 +362,53 @@ def test_search_hit_lists_pinned(spec, count, digest):
     assert (len(now), _json_digest(now)) == ORBIT_HIT_LISTS[digest]
 
 
+# Specs whose pair (0, 1) allows bigons, so color 1 starts at vertex 0 with
+# every partner open; every other pinned spec excludes them and starts at
+# vertex 1.  Count and SHA-256 of the hit list (as above) and the number of
+# classes.
+VERTEX_0_HIT_LISTS = [
+    (
+        SearchSpec(colors=3, order=12, pair_lengths={(0, 2): (6,), (1, 2): (6,)}, bigons="include"),
+        117,
+        "01f9c24b2603b1aa1382b77a3e23bde2ec85ea85c78cb48e28758fae7222b76f",
+        13,
+    ),
+    (
+        SearchSpec(colors=4, order=8, vertex_types=(2, 4, 4, 8), bigons="include"),
+        64,
+        "6c0b9a2ede3d645a5dae28406d00f9ca2d17efa8080a91903feca936f4af3ab2",
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, count, digest, classes", VERTEX_0_HIT_LISTS)
+def test_vertex_0_start_hit_lists_pinned(spec, count, digest, classes):
+    hits, exhaustive = search._run_search(spec)
+    assert exhaustive
+    now = [[list(m) for m in g.matchings] for g in hits]
+    assert all(a < b for a, b in zip(now, now[1:]))
+    assert (len(now), _json_digest(now)) == (count, digest)
+    assert len(search._dedup_canonical(hits)) == classes
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8)),
+        SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12), bipartite="only"),
+    ],
+)
+def test_limit_returns_the_first_hits(spec):
+    hits, exhaustive = search._run_search(spec)
+    assert exhaustive
+    assert first_gem(spec).matchings == hits[0].matchings
+    for k in range(1, len(hits) + 1):
+        head, done = search._run_search(spec, limit=k)
+        assert not done
+        assert [g.matchings for g in head] == [g.matchings for g in hits[:k]]
+
+
 # SHA-256 of search_report(spec).to_json_dict(), keys sorted, for the five
 # specs of the perfbench `search` workload: the classes, their order and
 # their representatives do not depend on how many duplicates the DFS emits.
@@ -396,16 +443,8 @@ def test_search_report_pinned(spec, digest):
 
 def _counted_dfs(spec):
     """Run the DFS of ``spec``; return its hits and every leaf it reached."""
-    leaf = search._leaf_filter(spec)
-    reached = []
-
-    def counting_leaf(g):
-        reached.append(g)
-        return leaf(g)
-
-    hits, exhaustive = search._matching_dfs(spec, counting_leaf)
-    assert exhaustive
-    return hits, reached
+    reached = list(search._matching_dfs(spec))
+    return list(filter(search._leaf_filter(spec), reached)), reached
 
 
 # Specs where the room cut prunes most of the DFS: each open path is bounded
@@ -453,6 +492,14 @@ def test_room_cut_hit_lists_pinned(spec, count, digest, leaves, classes):
     assert (len(now), _json_digest(now), len(reached)) == (count, digest, leaves)
     if classes is not None:
         assert len(search._dedup_canonical(hits)) == classes
+
+
+def test_bigon_free_hits_take_the_edge_1_2():
+    # Color 1 starts at vertex 1, where the orbit rule leaves only partner 2.
+    for spec, *_ in PINNED_HIT_LISTS + PINNED_BIPARTITE_HIT_LISTS + ROOM_CUT_HIT_LISTS:
+        assert spec.bigons == "exclude"
+        hits, _ = search._run_search(spec)
+        assert all(g.matchings[1][1] == 2 for g in hits)
 
 
 def test_vertex_types_prune_inside_the_dfs():

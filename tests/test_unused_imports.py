@@ -1,6 +1,8 @@
 """Every module of the package uses each name it imports, every private
-top-level name of the package is referenced somewhere in it, and every
-function defined inside another one is referenced in that one.
+top-level name of the package is referenced somewhere in it, every
+function defined inside another one is referenced in that one, and every
+function or lambda reads each of its parameters (``self`` and ``cls``
+aside).
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's re-exports.
@@ -89,6 +91,31 @@ def _dead_nested_functions(source: str) -> list[str]:
     return found
 
 
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters of a function or lambda that its body never reads."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "lambda")
+        found += [
+            (node.lineno, f"line {node.lineno}: {name}({p})")
+            for p in params
+            if p not in read and p not in ("self", "cls")
+        ]
+    return [message for _, message in sorted(found)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
@@ -135,3 +162,38 @@ def test_dead_private_definition_is_reported():
         "b.py": "from .a import _helper\nimport a\na._Other = 2\n",
     }
     assert _dead_private_definitions(sources) == ["a.py line 2: _DEAD", "a.py line 5: _Gone"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_module_reads_every_parameter(path):
+    assert _unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_is_reported():
+    # A parameter whose one read was deleted is reported; a closure's read
+    # counts for the outer function, and self and cls are exempt.
+    source = (
+        "def _matching_dfs(spec, leaf, limit=None):\n"
+        "    hits = []\n"
+        "    for g in spec.leaves():\n"
+        "        hits.append(g)\n"
+        "        if limit is not None and len(hits) >= limit:\n"
+        "            return hits, False\n"
+        "    return hits, True\n"
+        "def outer(a, *rest, key, **kw):\n"
+        "    def inner(b):\n        return a + len(rest)\n"
+        "    return inner(key)\n"
+        "class K:\n"
+        "    def method(self, x):\n        return self\n"
+        "    @classmethod\n"
+        "    def make(cls, *, y=0):\n        return cls(y)\n"
+        "f = lambda u, v: u\n"
+        "g = lambda: 0\n"
+    )
+    assert _unread_parameters(source) == [
+        "line 1: _matching_dfs(leaf)",
+        "line 8: outer(kw)",
+        "line 9: inner(b)",
+        "line 13: method(x)",
+        "line 18: lambda(v)",
+    ]
