@@ -14,11 +14,10 @@ computed by Smith normal form over exact integers, which at these sizes
 needs no modular tricks: the columns go straight in as the rows of the
 transposed map, every unit pivot is eliminated on those sparse rows, and
 the few rows left are reduced in place by gcd steps on least entries.
-The manifold check certifies each residue component once per call,
-however many deletion orders reach it, and reads both its residues and
-its complex from that component's table.  A component whose own
-residues passed is a homology manifold, so Poincare duality lets its
-sphere test stop at the lower half of the chain complex.
+The manifold check recurses through the residues on all colors but one,
+certifying each residue component once per call.  A component of regular
+genus 0 is a sphere (Ferri & Gagliardi); only one of positive genus has
+its own residues certified and its homology compared with the sphere's.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional
 
-from .core import ColoredGraph, NotConnectedError, _residue_pieces, is_bipartite
-from .embedding import CyclicPermutation, euler_characteristic
+from .core import ColoredGraph, NotConnectedError, is_bipartite, residue_graphs
+from .embedding import CyclicPermutation, _genus_zero, euler_characteristic
 
 
 @dataclass(frozen=True)
@@ -83,22 +82,18 @@ def build_complex(g: ColoredGraph) -> PseudoComplex:
     """Glue one d-simplex per vertex along the colored edges."""
     if not g.is_connected():
         raise NotConnectedError("the complex is built for connected graphs")
-    cells, columns = _layers(g, _partition_table(g), g.dimension)
+    cells, columns = _layers(g)
     return PseudoComplex(g.dimension, cells, columns)
 
 
-# One residue partition: the component id of every vertex, ids given in
-# order of least vertex, and the least vertex of every component.
-_Partition = tuple[list[int], list[int]]
-
-
-def _partition_table(g: ColoredGraph) -> list[_Partition]:
+def _partition_table(g: ColoredGraph) -> list[tuple[list[int], list[int]]]:
     """The residue partition on every color set, indexed by its bitmask.
 
-    The ids of entry ``mask`` are ``component_index(g, colors of mask)``.
-    They are not walked but merged: the partition on a set S is the
-    partition on S minus its highest color c, with the components that c's
-    edges join united.  The union keeps the smaller id as root, and ids
+    Entry ``mask`` holds the component id of every vertex, the ids of
+    ``component_index(g, colors of mask)``, and the least vertex of every
+    component.  Entries are not walked but merged: the partition on a set
+    S is the one on S minus its highest color c, with the components that
+    c's edges join united.  The union keeps the smaller id as root, and ids
     were given by least vertex, so the roots in increasing order give the
     merged components in order of least vertex too.
     """
@@ -134,19 +129,20 @@ def _partition_table(g: ColoredGraph) -> list[_Partition]:
     return table
 
 
-def _layers(g: ColoredGraph, table: list[_Partition], top: int) -> tuple[tuple, tuple]:
-    """Cells of dimension 0..top and boundary columns of dimension 1..top.
+def _layers(g: ColoredGraph) -> tuple[tuple, tuple]:
+    """Cells of every dimension and boundary columns of dimension 1 and up.
 
     An h-cell's label set C picks the residue on the complementary colors
-    from ``table``; the cells are its components, in id order, and each
-    column is read at the component's least vertex.
+    from ``g``'s partition table; the cells are its components, in id
+    order, and each column is read at the component's least vertex.
     """
+    table = _partition_table(g)
     full = (1 << len(g.matchings)) - 1
     # For every label set C: the cell offset and the partition of the
     # residue on the complement.
     subset_info: dict[tuple[int, ...], tuple[int, list[int], list[int]]] = {}
     cells: list[tuple[tuple[tuple[int, ...], int], ...]] = []
-    for h in range(top + 1):
+    for h in g.colors:
         layer = []
         offset = 0
         for C in itertools.combinations(g.colors, h + 1):
@@ -157,7 +153,7 @@ def _layers(g: ColoredGraph, table: list[_Partition], top: int) -> tuple[tuple, 
         cells.append(tuple(layer))
 
     columns: list[tuple[tuple[int, ...], ...]] = [()]
-    for h in range(1, top + 1):
+    for h in range(1, len(g.matchings)):
         layer_cols: list[tuple[int, ...]] = []
         for C in itertools.combinations(g.colors, h + 1):
             _, _, reps = subset_info[C]
@@ -321,29 +317,19 @@ def homology_of_complex(k: PseudoComplex) -> HomologyProfile:
     Raises no error: ``build_complex`` already raised ``NotConnectedError``
     for a disconnected graph.
     """
-    return HomologyProfile(tuple(_homology_groups(k.columns, k.f_vector)))
-
-
-def _homology_groups(
-    columns: Sequence[Sequence[tuple[int, ...]]], f: Sequence[int]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(free rank, torsion) of H_i for every i below ``len(columns)``.
-
-    The boundary map out of the top dimension given is taken as zero, so
-    the top group is exact only if the complex has no higher cells.
-    """
+    f = k.f_vector
     factors: list[list[int]] = [[]]
-    for h in range(1, len(columns)):
+    for h in range(1, len(k.columns)):
         # The columns of a boundary map are the rows of its transpose,
         # which has the same invariant factors.
         signs = [-1 if pos % 2 else 1 for pos in range(h + 1)]
-        rows = [dict(zip(col, signs)) for col in columns[h]]
+        rows = [dict(zip(col, signs)) for col in k.columns[h]]
         factors.append(_sparse_snf(rows, f[h - 1]))
     factors.append([])
-    return [
+    return HomologyProfile(tuple(
         (f[i] - len(factors[i]) - len(out), tuple(e for e in out if e > 1))
         for i, out in enumerate(factors[1:])
-    ]
+    ))
 
 
 def homology(g: ColoredGraph) -> HomologyProfile:
@@ -409,30 +395,23 @@ def manifold_check(g: ColoredGraph) -> ManifoldVerdict:
         raise ValueError("manifold certification is defined for dimension >= 2")
     if g.dimension == 2:
         return ManifoldVerdict(CERTIFIED_SURFACE)
-    return _manifold_check(g, _partition_table(g), {})
+    return _manifold_check(g, {})
 
 
 def _manifold_check(
-    g: ColoredGraph,
-    table: list[_Partition],
-    memo: dict[ColoredGraph, Optional[str]],
+    g: ColoredGraph, memo: dict[ColoredGraph, Optional[str]]
 ) -> ManifoldVerdict:
     """Certify a connected graph of dimension >= 3 by its residues.
 
-    The residues on all colors but one are read from ``g``'s partition
-    ``table`` and extracted as ``residue_graphs`` extracts them.  One
-    residue component is reached along every order of deleting its
+    One residue component is reached along every order of deleting its
     missing colors and renumbered to the same graph each time, so
     ``memo`` (shared by one top-level call) records each residue's failure
     detail, or None if it passed, the first time it is visited.  Residues
     are still visited in the same order, so the first failure reported is
     unchanged.
     """
-    full = (1 << len(g.matchings)) - 1
     for c in g.colors:
-        cols = tuple(x for x in g.colors if x != c)
-        idx, least = table[full ^ (1 << c)]
-        pieces = _residue_pieces(g, cols, idx, len(least))
+        pieces = residue_graphs(g, [x for x in g.colors if x != c])
         for piece_no, (piece, _) in enumerate(pieces):
             if piece not in memo:
                 memo[piece] = _residue_failure(piece, memo)
@@ -451,40 +430,31 @@ def _residue_failure(
 ) -> Optional[str]:
     """Why a residue component of a gem fails to be a sphere, or None.
 
-    A surface is a sphere iff its Euler characteristic is 2.  From m = 3
-    up the piece's own residues are certified first; once they pass, every
-    link in the piece is a homology sphere, so the piece is a closed
-    homology m-manifold, and it has the homology of S^m iff
-      - it is bipartite: a top chain sum a_v s_v is a cycle iff
-        a_w = -a_v across every edge, so H_m = Z iff the graph is; and
-      - H_1 .. H_k vanish, k = floor(m/2): H_0 = Z as the piece is
-        connected, and by Poincare duality with the universal coefficient
-        theorem H_i = Free(H_(m-i)) + Tors(H_(m-i-1)) covers the rest.
-    So only the cells up to dimension k+1 are built and only the boundary
-    maps 1..k+1 reduced, from the piece's one partition table.  A
-    non-orientable homology manifold has H_1 != 0 anyway (its orientation
-    character maps H_1 onto Z_2), so the bipartite test changes no
-    verdict; it rejects such a piece before any reduction.
+    A piece of regular genus 0 passes at once: a connected (m+1)-colored
+    graph with a regular embedding in the 2-sphere represents S^m (Ferri &
+    Gagliardi, "The only genus zero n-manifold is S^n", Proc. AMS 85,
+    1982).  That needs no manifold hypothesis on the piece: deleting a
+    color from a genus-0 embedding leaves its residues genus 0, so by
+    induction they are spheres and the piece is a closed manifold.  A
+    sphere passes the test below as well, so neither the verdict nor the
+    first failure reported depends on this shortcut.
+
+    Otherwise a surface, whose genus is its only arrangement's, is not a
+    sphere.  From m = 3 up the piece's own residues are certified first,
+    then its homology is compared with the m-sphere's.
     """
     m = piece.dimension
+    if _genus_zero(piece):
+        return None
     if m == 2:
         chi = euler_characteristic(piece, CyclicPermutation((0, 1, 2)))
-        return None if chi == 2 else f"surface has chi {chi}, expected 2"
-    table = _partition_table(piece)
-    sub = _manifold_check(piece, table, memo)
+        return f"surface has chi {chi}, expected 2"
+    sub = _manifold_check(piece, memo)
     if not sub.ok:
         return sub.detail
-    if not is_bipartite(piece) or not _low_homology_vanishes(piece, table):
+    if homology(piece) != sphere_profile(m):
         return f"homology differs from the {m}-sphere"
     return None
-
-
-def _low_homology_vanishes(g: ColoredGraph, table: list[_Partition]) -> bool:
-    """H_i(g) = 0 for 1 <= i <= floor(d/2), from boundary maps 1..floor(d/2)+1."""
-    k = g.dimension // 2
-    cells, columns = _layers(g, table, k + 1)
-    groups = _homology_groups(columns, [len(layer) for layer in cells])
-    return all(group == (0, ()) for group in groups[1 : k + 1])
 
 
 def consistency_surface(g: ColoredGraph) -> bool:

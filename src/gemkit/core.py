@@ -265,14 +265,7 @@ def residue_graphs(
     cols = _checked_colors(g, colors)
     if len(cols) < 2:
         raise ValueError("a residue graph needs at least two colors")
-    return _residue_pieces(g, cols, *component_index(g, cols))
-
-
-def _residue_pieces(
-    g: ColoredGraph, cols: tuple[int, ...], idx: list[int], count: int
-) -> list[tuple[ColoredGraph, tuple[int, ...]]]:
-    """``residue_graphs`` of the residue on ``cols`` whose components are
-    already labeled: ``idx`` numbers them 0..count-1 by least vertex."""
+    idx, count = component_index(g, cols)
     comps: list[list[int]] = [[] for _ in range(count)]
     pos = [0] * len(idx)
     for v, i in enumerate(idx):

@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     ColoredGraph,
@@ -89,17 +89,19 @@ def _arrangements(
     The pair tuples are shared, one per ordered color pair, so each
     arrangement adds only a tuple of d + 1 references to the cache.
     """
-    if d == 1:
-        out = [CyclicPermutation((0, 1))]
-    else:
-        # permutations() yields rest in lexicographic order, so out is sorted
-        out = [
-            CyclicPermutation((0,) + rest)
-            for rest in itertools.permutations(range(1, d + 1))
-            if rest[0] < rest[-1]
-        ]
+    out = [CyclicPermutation(t) for t in _cyclic_orders(d)]
     shared = {p: p for p in itertools.permutations(range(d + 1), 2)}
     return tuple((eps, tuple(map(shared.get, eps.pairs()))) for eps in out)
+
+
+def _cyclic_orders(d: int) -> Iterator[tuple[int, ...]]:
+    """``all_cyclic_permutations(d)`` as plain tuples, generated in order.
+
+    permutations() yields ``rest`` sorted; its ends differ unless d = 1,
+    whose one arrangement (0, 1) the ``<=`` keeps.
+    """
+    rests = itertools.permutations(range(1, d + 1))
+    return ((0,) + rest for rest in rests if rest[0] <= rest[-1])
 
 
 def _canonical_cyclic(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -215,6 +217,28 @@ def regular_genus(g: ColoredGraph) -> RegularGenus:
     best = min(rho2.values())
     winners = tuple(eps for eps, r2 in rho2.items() if r2 == best)
     return RegularGenus(best, winners, is_bipartite(g))
+
+
+def _genus_zero(g: ColoredGraph) -> bool:
+    """Whether some arrangement embeds the connected graph ``g`` in the sphere.
+
+    The same test as ``regular_genus(g).rho_times_2 == 0``, as one early-exit
+    scan: chi = 2 needs the g-values of an arrangement's d + 1 pairs to sum
+    to ``need``.  Each color lies on exactly two consecutive pairs, so that
+    sum is half a sum over colors of two of each color's pairs, and a graph
+    whose colors' two largest pair g-values sum to less than 2 ``need`` has
+    positive genus.  Otherwise the arrangements are generated in
+    ``_arrangements``' order, none of them cached, until one has chi = 2.
+    """
+    gvals = _g_values(_pair_table(g))
+    need = 2 - (1 - g.dimension) * g.vertex_count // 2
+    tops = (sorted(gvals[c, x] for x in g.colors if x != c)[-2:] for c in g.colors)
+    if sum(map(sum, tops)) < 2 * need:
+        return False
+    return any(
+        sum(gvals[t[i - 1], t[i]] for i in range(len(t))) == need
+        for t in _cyclic_orders(g.dimension)
+    )
 
 
 def face_cycle_type(

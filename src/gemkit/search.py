@@ -614,8 +614,6 @@ def _leaf_filter(spec: SearchSpec) -> Callable[[ColoredGraph], bool]:
     def leaf(g: ColoredGraph) -> bool:
         if not g.is_connected():
             return False
-        if spec.bipartite == "only" and not is_bipartite(g):
-            return False
         if spec.bipartite == "none" and is_bipartite(g):
             return False
         if target is not None and not all(

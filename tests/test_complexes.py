@@ -12,6 +12,7 @@ from gemkit.core import (
     component_index,
     is_bipartite,
     residue_count,
+    residue_graphs,
 )
 from gemkit.complexes import (
     CERTIFIED_3_MANIFOLD,
@@ -31,6 +32,7 @@ from gemkit.complexes import (
     smith_invariant_factors,
     sphere_profile,
 )
+from gemkit.embedding import _genus_zero
 from gemkit.generators import (
     catalog,
     lens_gem,
@@ -446,12 +448,14 @@ SPHERE_TEST_GEMS = {
 def test_sphere_test_on_lower_half_matches_full_homology(label):
     g = SPHERE_TEST_GEMS[label]
     memo = {}
-    got = _manifold_check(g, _partition_table(g), memo)
+    got = _manifold_check(g, memo)
     want = oracle_manifold_check(g)
     assert (got.kind, got.detail) == (want.kind, want.detail)
     checked = 0
     for piece, failure in memo.items():
         m = piece.dimension
+        if m >= 3 and _genus_zero(piece):
+            assert failure is None and homology(piece) == sphere_profile(m)
         if m < 3 or not (failure is None or failure == f"homology differs from the {m}-sphere"):
             continue  # a surface, or a piece whose own residues failed
         assert (failure is None) == (homology(piece) == sphere_profile(m))
@@ -462,7 +466,7 @@ def test_sphere_test_on_lower_half_matches_full_homology(label):
 def test_sphere_test_failure_branches():
     twisted = doubled(sphere_times_circle_gem(4, twisted=True))
     memo = {}
-    _manifold_check(twisted, _partition_table(twisted), memo)
+    _manifold_check(twisted, memo)
     rejected = [p for p, failure in memo.items() if failure == "homology differs from the 4-sphere"]
     assert rejected and not any(is_bipartite(p) for p in rejected)
     for g, m, h1 in [
@@ -470,10 +474,34 @@ def test_sphere_test_failure_branches():
         (doubled(lens_gem(5, 2, 2)), 3, (0, (5,))),
     ]:
         memo = {}
-        _manifold_check(g, _partition_table(g), memo)
+        _manifold_check(g, memo)
         rejected = [p for p, failure in memo.items() if failure == f"homology differs from the {m}-sphere"]
         assert rejected
         assert all(is_bipartite(p) and homology(p).groups[1] == h1 for p in rejected)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+@pytest.mark.parametrize("twisted", [False, True])
+def test_bundle_residues_are_genus_zero_spheres(d, twisted):
+    g = sphere_times_circle_gem(d, twisted)
+    for c in g.colors:
+        for piece, _ in residue_graphs(g, [x for x in g.colors if x != c]):
+            assert _genus_zero(piece)
+            assert homology(piece) == sphere_profile(d - 1)
+
+
+def test_manifold_check_matches_oracle_on_random_gems():
+    # Random gems are almost never manifolds, so this mostly compares the
+    # first failure found; the certificate meets pieces of every genus.
+    gem_rng = random.Random(2105)
+    kinds = set()
+    for _ in range(300):
+        d = gem_rng.randint(3, 6)
+        g = random_gem(gem_rng, d, 2 * gem_rng.randint(1, 6))
+        got, want = manifold_check(g), oracle_manifold_check(g)
+        assert (got.kind, got.detail) == (want.kind, want.detail)
+        kinds.add(got.kind)
+    assert FAILED in kinds and len(kinds) > 1
 
 
 def test_manifold_check_twisted_bundle_dimension_6():

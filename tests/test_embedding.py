@@ -429,6 +429,21 @@ def _uniform_gems():
     ]
 
 
+def test_genus_zero_matches_regular_genus():
+    # The exhaustive regular_genus is the reference for the early-exit scan
+    # and its degree-two bound; random gems of small order are often genus 0.
+    gems = _uniform_gems() + [standard_sphere(d) for d in (2, 3, 7)]
+    gems += [catalog("s2-4.4.4"), lens_gem(2, 0, 2), lens_gem(3, 1, 2)]
+    r = random.Random(2106)
+    for d in range(2, 7):
+        gems += [random_gem(r, d, 2 * r.randint(1, 5)) for _ in range(40)]
+    zero = 0
+    for g in gems:
+        assert embedding._genus_zero(g) == (regular_genus(g).rho_times_2 == 0)
+        zero += embedding._genus_zero(g)
+    assert 0 < zero < len(gems)
+
+
 def test_report_matches_reference_on_relabeled_uniform_gems():
     # These gems have arrangements where every vertex sees one signature, so
     # the uniformity test compares all vertices; random gems almost never do.

@@ -547,6 +547,19 @@ def test_bipartite_squares_search_keeps_the_color_fixed_classes(order, raw):
     assert _fixed_classes(only) == _fixed_classes(g for g in plain if oracle_is_bipartite(g))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec, *_ in PINNED_BIPARTITE_HIT_LISTS]
+    + [SearchSpec(colors=4, order=16, pair_lengths=_SQUARES, bipartite="only")],
+)
+def test_bipartite_search_reaches_only_bipartite_leaves(spec):
+    # The leaf filter does not test bipartiteness for a bipartite-only spec:
+    # the DFS builds the parity normal form, so every leaf is bipartite.
+    reached = list(search._matching_dfs(spec))
+    assert reached
+    assert all(oracle_is_bipartite(g) for g in reached)
+
+
 def test_dfs_takes_no_python_frame_per_level():
     # The DFS keeps its own stack of frames, so it runs within a few Python
     # frames of headroom above its caller, however deep the search goes.
