@@ -25,19 +25,23 @@ edge joins an even and an odd vertex.  Swapping the ends of some color-0
 edges brings every bipartite graph into that form and leaves color 0 as
 it is, so every class keeps a representative.
 
-Colors 1 and 2 also skip symmetric partners (one orbit rule, see
-``_matching_dfs``): components of the lower colors that are untouched so
+Two isomorph rejections keep the search from rebuilding what it already
+built (see ``_matching_dfs``).  Colors 1 and 2 skip symmetric partners
+(the orbit rule): components of the lower colors that are untouched so
 far and of one size are interchangeable, so a partner among them is only
 tried at the least vertex of the lowest one (in the normal form, its least
 vertex of the partner's parity).  When bigons of colors 0 and 1 are
 excluded, color 1 starts at vertex 1, where that rule leaves only the
-partner 2.  The hits come in lexicographic order and hold the first hit
-of every color-fixed class among the graphs the search covers; without
-the normal form they are a subsequence of the hits of the same search
-without the rule, so deduplication returns the same representatives.
-Results are deduplicated by exact canonical forms under color
-permutation; an empty result therefore means a completed search, never a
-truncated one.
+partner 2.  And each time a color below the last is complete, the graph
+of the colors so far is keyed by the color-fixed minimal encodings of its
+components; a completion whose key an earlier one had is not extended
+(the base rule).  The hits come in lexicographic order and hold the first
+hit of every color-fixed class among the graphs the search covers;
+without the normal form they are a subsequence of the hits of the same
+search without the two rules, so deduplication returns the same
+representatives.  Results are deduplicated by exact canonical forms under
+color permutation; an empty result therefore means a completed search,
+never a truncated one.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     ColoredGraph,
+    _bfs_labeling,
     bicolored_cycle_lengths,
     canonical_form,
     is_bipartite,
@@ -399,7 +404,31 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     a smaller partner here: an earlier hit, which contradicts H being
     first.  So the hits still hold the first hit of every color-fixed
     class.  Color 3 of a 4-color search keeps every partner: components of
-    three colors need not be vertex-transitive.
+    three colors need not be vertex-transitive.  The rule holds within
+    every subtree too: the image of H agrees with H above the frame.
+
+    The base rule: when color c-1 is complete and c is not the last color,
+    the base (colors 0..c-1) is keyed by ``_base_key`` before color c
+    opens; if an earlier completion in this call had that key, the frame
+    scans on and color c is not opened.  Equal keys of B and B' give a
+    color-fixed isomorphism phi from B onto B'; in the normal form only even
+    starts are keyed, so phi maps even vertices to even ones and keeps the
+    form.  Every leaf below an earlier completion B' precedes every leaf
+    below a later one B.  Let H be the first hit of a color-fixed class
+    without the base rule, and suppose the rule skipped its base B for an
+    earlier B'.  Then phi carries H to a graph of H's
+    class over B' that the search covers (the cuts and the leaf filter are
+    invariant), and by the orbit rule within the subtree of B' the search
+    without the base rule has a hit of that class below B', before H: a
+    contradiction.  So no base of H is skipped, the hits are a subsequence
+    of those without the rule, and the first hit of every color-fixed
+    class stays.
+
+    The key is taken over ``mats[:c]`` only: after backtracking,
+    ``mats[c]`` still holds the undone matching of color c, so a key that
+    read it would not be a function of the base (keyed that way, the
+    all-squares order-16 search lost one of its 16 color-fixed classes).
+    The keys are local to one call.
 
     With ``spec.vertex_types`` (the leaf filter's per-vertex face multiset
     over the cyclically consecutive color pairs), every cycle of such a
@@ -535,6 +564,7 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
                     w, j = mats[j][w], (j + 1) % c
         return c, m, states, tracks, comp, comp_size, least, [0] * len(comp_size)
 
+    bases: set[tuple] = set()  # keys of the completions opened so far
     u = 0 if allowed[(0, 1)] is None or 2 in allowed[(0, 1)] else 1
     frames: list[tuple] = [(u, u + 1 - step, open_color(1), (), ())]
     while frames:
@@ -598,9 +628,37 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
             u = m.index(-1)
             frames.append((u, u + 1 - step, color, (), ()))
         elif c + 1 < num_colors:
-            frames.append((0, 1 - step, open_color(c + 1), (), ()))
+            key = _base_key(mats[: c + 1], step)
+            if key not in bases:  # else the frame scans on: an earlier base was isomorphic
+                bases.add(key)
+                frames.append((0, 1 - step, open_color(c + 1), (), ()))
         else:
             yield ColoredGraph([tuple(x) for x in mats])
+
+
+def _base_key(slots: Sequence[Sequence[int]], step: int) -> tuple:
+    """Sorted minimal encodings of the components of the matchings ``slots``.
+
+    A component's encoding is the least ``_bfs_labeling`` over its starts,
+    even starts only when ``step`` is 2.  Equal keys give a color-fixed
+    isomorphism; for ``step`` 2 (the parity normal form) it maps even
+    vertices to even ones, since it maps a start (label 0) to a start and
+    every edge joins the two parities.
+    """
+    done = [False] * len(slots[0])
+    key = []
+    for s in range(0, len(done), step):
+        if done[s]:
+            continue
+        best, _, order = _bfs_labeling(slots, s)
+        for t in order:
+            done[t] = True
+            if t != s and t % step == 0:
+                found = _bfs_labeling(slots, t, best)
+                if found is not None:
+                    best = found[0]
+        key.append(tuple(best))
+    return tuple(sorted(key))
 
 
 def _standard_matching(n: int) -> tuple[int, ...]:
@@ -729,9 +787,11 @@ def search_report(
 
     ``limit`` (at least 1; a smaller one raises ``ValueError``) stops the
     search after that many raw hits, before deduplication.  The orbit rule
-    of ``_matching_dfs`` drops most automorphic copies, so for ``limit`` >= 2
-    those raw hits hold fewer duplicates of one class than the labeled hits
-    would.
+    and the base rule of ``_matching_dfs`` drop most automorphic copies and
+    every hit below a base isomorphic to an earlier one, so for ``limit``
+    >= 2 those raw hits hold fewer duplicates of one class than the
+    labeled hits would, and the first ``limit`` of them may reach more
+    classes than before the base rule.  The first hit is unchanged.
     """
     _check_budget(spec.order, max_order)
     hits, exhaustive = _run_search(spec, limit=limit)

@@ -25,15 +25,17 @@ def standard_matching(n: int) -> list[int]:
     return [v + 1 if v % 2 == 0 else v - 1 for v in range(n)]
 
 
-def stored_hit_list(spec) -> list[list[list[int]]]:
-    """The raw hits of ``search._run_search(spec)`` before the orbit rule.
+def stored_hit_list(spec, rule: str = "orbit_rule") -> list[list[list[int]]]:
+    """The raw hits of ``search._run_search(spec)`` before a search rule.
 
-    ``data/hit_lists_before_orbit_rule.json`` holds them as the search
-    returned them, in order, before color 2 skipped interchangeable
-    alternating cycles (color 1 already skipped interchangeable blocks).
-    Each hit is one word per color, one hex digit per vertex.
+    ``data/hit_lists_before_<rule>.json`` holds them as the search returned
+    them, in order, before that rule: ``orbit_rule`` before color 2 skipped
+    interchangeable alternating cycles (color 1 already skipped
+    interchangeable blocks), ``base_rule`` before the DFS skipped a
+    lower-color completion isomorphic to an earlier one.  Each hit is one
+    word per color, one hex digit per vertex.
     """
-    path = pathlib.Path(__file__).parent / "data" / "hit_lists_before_orbit_rule.json"
+    path = pathlib.Path(__file__).parent / "data" / f"hit_lists_before_{rule}.json"
     for entry in json.loads(path.read_text()):
         if entry["spec"] == spec.to_json_dict():
             return [

@@ -364,8 +364,9 @@ def test_search_hit_lists_pinned(spec, count, digest):
 
 # Specs whose pair (0, 1) allows bigons, so color 1 starts at vertex 0 with
 # every partner open; every other pinned spec excludes them and starts at
-# vertex 1.  Count and SHA-256 of the hit list (as above) and the number of
-# classes.
+# vertex 1.  Count and SHA-256 of the hit list (as above) before the DFS
+# skipped a lower-color completion isomorphic to an earlier one, and the
+# number of classes; BASE_RULE_HIT_LISTS below pins today's lists.
 VERTEX_0_HIT_LISTS = [
     (
         SearchSpec(colors=3, order=12, pair_lengths={(0, 2): (6,), (1, 2): (6,)}, bigons="include"),
@@ -382,14 +383,60 @@ VERTEX_0_HIT_LISTS = [
 ]
 
 
-@pytest.mark.parametrize("spec, count, digest, classes", VERTEX_0_HIT_LISTS)
-def test_vertex_0_start_hit_lists_pinned(spec, count, digest, classes):
+# Stored list's digest -> count and SHA-256 of the list the search returns
+# now that it skips a lower-color completion isomorphic to an earlier one.
+# The stored lists are in tests/data/hit_lists_before_base_rule.json.
+BASE_RULE_HIT_LISTS = {
+    "01f9c24b2603b1aa1382b77a3e23bde2ec85ea85c78cb48e28758fae7222b76f": (
+        60,
+        "84fd421e2c4575b387689089ef23640390b5feaf7b2251474cb898ea9a55c127",
+    ),
+    "6c0b9a2ede3d645a5dae28406d00f9ca2d17efa8080a91903feca936f4af3ab2": (
+        40,
+        "db521a91a2d738cf67d5d63c907b08fe110d1103fe40ecf326541c4b561417ce",
+    ),
+    "0e051d3b21a881fa50cd65b61bdcfe57f73b6779d969b4f6742f1c61b1373a84": (
+        1658,
+        "73a5f1c7b1baf55ddaa13d5c68633a1f541059ea62acdfe24ce791d39b85a575",
+    ),
+}
+
+
+def _base_rule_hits(spec, count, digest):
+    """Run ``spec``; check its hits against the list stored before the base rule.
+
+    Every leaf below an earlier completion of the lower colors precedes
+    every leaf below a later one, so skipping the subtree of a completion
+    isomorphic to an earlier one leaves a subsequence of the stored list
+    that still holds the first hit of every color-fixed class.
+    """
+    before = stored_hit_list(spec, "base_rule")
+    assert (len(before), _json_digest(before)) == (count, digest)
     hits, exhaustive = search._run_search(spec)
     assert exhaustive
     now = [[list(m) for m in g.matchings] for g in hits]
-    assert all(a < b for a, b in zip(now, now[1:]))
-    assert (len(now), _json_digest(now)) == (count, digest)
+    assert all(a < b for a, b in zip(now, now[1:]))  # DFS order is lexicographic
+    rest = iter(before)
+    assert all(h in rest for h in now)
+    firsts: dict[bytes, list] = {}
+    for h in before:
+        firsts.setdefault(canonical_form(ColoredGraph(h), "color-fixed"), h)
+    assert all(h in now for h in firsts.values())
+    assert (len(now), _json_digest(now)) == BASE_RULE_HIT_LISTS[digest]
+    return hits
+
+
+@pytest.mark.parametrize("spec, count, digest, classes", VERTEX_0_HIT_LISTS)
+def test_vertex_0_start_hit_lists_pinned(spec, count, digest, classes):
+    hits = _base_rule_hits(spec, count, digest)
     assert len(search._dedup_canonical(hits)) == classes
+
+
+def test_4_4_6_6_hit_list_keeps_the_first_hits():
+    # The 4-color room-cut spec, where the base rule skips color-1 and
+    # color-2 completions; ROOM_CUT_HIT_LISTS pins today's list and leaves.
+    spec = SearchSpec(colors=4, order=12, vertex_types=(4, 4, 6, 6))
+    _base_rule_hits(spec, 3072, "0e051d3b21a881fa50cd65b61bdcfe57f73b6779d969b4f6742f1c61b1373a84")
 
 
 @pytest.mark.parametrize(
@@ -452,7 +499,9 @@ def _counted_dfs(spec):
 # the hit list (as above), leaves reached and classes, pinned from the
 # search without that cut.  The cut drops only branches that would reach no
 # leaf (the cycle counts cut them when the cycle closes), so the number of
-# leaves is pinned too.
+# leaves is pinned too.  The (4,4,6,6)/12 list and the (4,6,12)/24 leaves
+# (3,072 hits; 98 leaves) were re-pinned when the DFS began to skip
+# lower-color completions isomorphic to earlier ones.
 ROOM_CUT_HIT_LISTS = [
     (
         SearchSpec(colors=3, order=20, vertex_types=(4, 4, 10)),
@@ -470,16 +519,16 @@ ROOM_CUT_HIT_LISTS = [
     ),
     (
         SearchSpec(colors=4, order=12, vertex_types=(4, 4, 6, 6)),
-        3072,
-        "0e051d3b21a881fa50cd65b61bdcfe57f73b6779d969b4f6742f1c61b1373a84",
-        3072,
-        None,  # 57 classes; deduplicating 3,072 hits takes about a second
+        1658,
+        "73a5f1c7b1baf55ddaa13d5c68633a1f541059ea62acdfe24ce791d39b85a575",
+        1658,
+        None,  # 57 classes; deduplicating 1,658 hits takes about a third of a second
     ),
     (
         SearchSpec(colors=3, order=24, vertex_types=(4, 6, 12), bipartite="only"),
         18,
         "3d312f67d5ec04076fbe07200017a803231b0a427574519d1619553834ba28b8",
-        98,
+        42,
         1,
     ),
 ]
@@ -512,12 +561,13 @@ def test_vertex_types_prune_inside_the_dfs():
 
 
 def test_bipartite_prunes_inside_the_dfs():
-    # (4,8,8)/16: the "any" spec has no parity cut, and 320 leaves reach
-    # the leaf filter, 300 of them not bipartite.  The "only" spec covers
+    # (4,8,8)/16: the "any" spec has no parity cut, and 220 leaves reach
+    # the leaf filter, 204 of them not bipartite.  The "only" spec covers
     # the parity normal form, where every edge joins an even and an odd
-    # vertex: it reaches 20 leaves, all bipartite, for 9 hits.  Those are
+    # vertex: it reaches 16 leaves, all bipartite, for 9 hits.  Those are
     # other labelings than the bipartite hits of "any", of the same
-    # color-fixed classes.
+    # color-fixed classes.  (Before the DFS skipped color-1 completions
+    # isomorphic to an earlier one: 320 leaves, 300 not bipartite, and 20.)
     runs = {
         mode: _counted_dfs(
             SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite=mode)
@@ -525,9 +575,9 @@ def test_bipartite_prunes_inside_the_dfs():
         for mode in ("any", "only")
     }
     (plain, plain_reached), (cut, cut_reached) = runs["any"], runs["only"]
-    assert len(plain_reached) == 320
-    assert sum(not oracle_is_bipartite(g) for g in plain_reached) == 300
-    assert len(cut_reached) == 20
+    assert len(plain_reached) == 220
+    assert sum(not oracle_is_bipartite(g) for g in plain_reached) == 204
+    assert len(cut_reached) == 16
     assert all(oracle_is_bipartite(g) for g in cut_reached)
     assert len(cut) == 9
     assert all(_in_parity_normal_form(g.matchings) for g in cut)
@@ -640,6 +690,127 @@ def test_vertex_type_search_matches_brute_force():
                 for i, mode in enumerate(modes):
                     assert {f[i] for f in got} == {f[i] for f in want}, (n, vt, policy, mode)
                 assert len(find_gems(spec)) == len({f[1] for f in want}), (n, vt, policy)
+
+
+def test_four_color_search_matches_brute_force():
+    # Every 4-colored graph of order 6 over the fixed first matching, all
+    # 15**3 of them, with face lengths taken from component sizes over the
+    # identity arrangement's pairs (01, 12, 23, 03), bipartiteness from a
+    # BFS 2-colouring and classes from the unpruned canonical labeling.
+    # The raw hits of every vertex type (and of none), bipartite policy and
+    # bigon policy must meet every class the brute force finds and no
+    # other.  Here the DFS skips color-1 and color-2 completions isomorphic
+    # to earlier ones: unconstrained with bigons, 221 raw hits ("only": 56)
+    # where it kept 479 (104) before.
+    n = 6
+    pairs = ((0, 1), (1, 2), (2, 3), (0, 3))
+    permuting: dict[tuple, tuple] = {}  # color-fixed form -> color-permuting form
+    forms: dict[tuple, tuple] = {}  # matchings -> both forms
+    graphs = []  # (forms, bipartite, vertex type or None, has a bigon face)
+    matchings = all_perfect_matchings(n)
+    for rest in itertools.product(matchings, repeat=3):
+        g = ColoredGraph([standard_matching(n), *rest])
+        if len(oracle_components(g, g.colors)) != 1:
+            continue
+        fixed = oracle_canonical_labeling(g, "color-fixed")[0]
+        if fixed not in permuting:
+            permuting[fixed] = oracle_canonical_labeling(g, "color-permuting")[0]
+        f = forms[g.matchings] = (fixed, permuting[fixed])
+        face = [[0] * n for _ in pairs]
+        for i, pair in enumerate(pairs):
+            for comp in oracle_components(g, pair):
+                for v in comp:
+                    face[i][v] = len(comp)
+        types = {tuple(sorted(col[v] for col in face)) for v in range(n)}
+        vt = types.pop() if len(types) == 1 else None
+        bigon = any(2 in col for col in face)
+        graphs.append((f, oracle_is_bipartite(g), vt, bigon))
+    raw = {}
+    for vt in [None, *itertools.combinations_with_replacement(range(2, n + 1, 2), 4)]:
+        for bigons in ("include", "exclude"):
+            for policy in ("any", "only", "none"):
+                want = {
+                    f
+                    for f, bip, t, bigon in graphs
+                    if (vt is None or t == vt)
+                    and (bigons == "include" or not bigon)
+                    and policy != ("none" if bip else "only")
+                }
+                spec = SearchSpec(colors=4, order=n, vertex_types=vt, bipartite=policy, bigons=bigons)
+                hits, exhaustive = search._run_search(spec)
+                assert exhaustive
+                got = {forms[g.matchings] for g in hits}
+                for i, mode in enumerate(("color-fixed", "color-permuting")):
+                    assert {f[i] for f in got} == {f[i] for f in want}, (vt, bigons, policy, mode)
+                raw[vt, bigons, policy] = len(hits)
+    assert (raw[None, "include", "any"], raw[None, "include", "only"]) == (221, 56)
+
+
+def test_base_key_matches_brute_force_isomorphism():
+    # _base_key(slots, step) of random 3-colored bases over the fixed color
+    # 0, against every relabeling that keeps color 0: a permutation of the
+    # blocks with or without swapping each block's ends.  With step 1 the
+    # keys of two bases are equal exactly when some such relabeling maps one
+    # onto the other; with step 2 (the parity normal form) exactly when one
+    # that maps even vertices to even ones, i.e. swaps no block, does.  A
+    # base and its flip (every v to v ^ 1) always share the step-1 key;
+    # from order 10 some bases have no even-to-even map onto their flip.
+    rng = random.Random(22)
+
+    def normal_form_matching(n):
+        odd = list(range(1, n, 2))
+        rng.shuffle(odd)
+        m = [0] * n
+        for v, w in zip(range(0, n, 2), odd):
+            m[v], m[w] = w, v
+        return m
+
+    def relabelings(n, swaps):
+        for blocks in itertools.permutations(range(n // 2)):
+            for flips in itertools.product((0, 1) if swaps else (0,), repeat=n // 2):
+                yield [2 * blocks[v >> 1] + ((v & 1) ^ flips[v >> 1]) for v in range(n)]
+
+    def image(mats, p):
+        out = []
+        for m in mats:
+            q = [0] * len(m)
+            for v, w in enumerate(m):
+                q[p[v]] = p[w]
+            out.append(q)
+        return out
+
+    outcomes = set()
+    for n in (4, 6, 8, 10):
+        for _ in range(15):
+            a = [standard_matching(n)] + [normal_form_matching(n) for _ in range(2)]
+            b = [standard_matching(n)] + [normal_form_matching(n) for _ in range(2)]
+            flip = [[m[v ^ 1] ^ 1 for v in range(n)] for m in a]
+            assert search._base_key(a, 1) == search._base_key(flip, 1)
+            for other in (b, flip):
+                for step in (1, 2) if n < 10 else (2,):
+                    iso = any(image(a, p) == other for p in relabelings(n, step == 1))
+                    assert (search._base_key(a, step) == search._base_key(other, step)) == iso
+                    outcomes.add((other is flip, step, iso))
+    # chiral bases (no even-to-even map onto their flip) and equal random pairs occur
+    assert {(True, 2, False), (True, 2, True), (False, 1, True)} <= outcomes
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8)),
+        SearchSpec(colors=4, order=12, pair_lengths=_SQUARES),
+        VERTEX_0_HIT_LISTS[1][0],
+    ],
+)
+def test_search_keeps_no_keys_across_calls(spec):
+    # The keys of the completions a search has opened are local to one
+    # DFS: a full run after first_gem, or after another full run, skips
+    # nothing more.
+    hits, _ = search._run_search(spec)
+    assert first_gem(spec).matchings == hits[0].matchings
+    again, _ = search._run_search(spec)
+    assert [g.matchings for g in again] == [g.matchings for g in hits]
 
 
 def test_search_hexagons_order_12():
