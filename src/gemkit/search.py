@@ -19,11 +19,14 @@ every vertex on it when it closes, and a vertex holding more cycles of one
 length than the multiset allows cuts the branch.  The counts also bound
 each open path of such a pair: a path cannot outgrow the longest cycle
 that every vertex on it may still lie on.  These cuts only drop branches
-whose leaves would all fail the leaf filter.  A bipartite-only spec builds
-no odd cycle at all: it covers only the parity normal form, in which every
-edge joins an even and an odd vertex.  Swapping the ends of some color-0
-edges brings every bipartite graph into that form and leaves color 0 as
-it is, so every class keeps a representative.
+whose leaves would all fail the leaf filter.  At the last color, an edge
+that closes a component short of every vertex cuts the branch (the seal
+cut), so every graph the search completes is connected and the leaf
+filter does not test connectivity.  A bipartite-only spec builds no odd
+cycle at all: it covers only the parity normal form, in which every edge
+joins an even and an odd vertex.  Swapping the ends of some color-0 edges
+brings every bipartite graph into that form and leaves color 0 as it is,
+so every class keeps a representative.
 
 Two isomorph rejections keep the search from rebuilding what it already
 built (see ``_matching_dfs``).  Colors 1 and 2 skip symmetric partners
@@ -451,6 +454,20 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     would lower them further, so they stay sound bounds.  A pair whose
     rooms all equal its longest length keeps only the ``maxlen`` test.
 
+    The seal cut: at the last color, an edge uv that closes a component
+    of fewer than n vertices with no vertex left free in the last color
+    cuts the branch.  Such an edge closes u's cycle in every pair (j,
+    last), so only a candidate closing every path state the loop keeps is
+    tested, after the vertex-type cut and unless uv is the last free pair:
+    uv is placed, u's component is walked until it meets a free vertex,
+    and uv is undone.  The cut is sound: no later edge joins a closed
+    component to the rest, so every leaf below it is disconnected.  It is
+    complete: if a leaf's last edge closes a proper component S, then each
+    component of the rest, V minus S, was closed earlier by an edge that
+    was tested, since the leaf's last pair was still free then.  So the
+    hits and their order are unchanged, and every leaf yielded is
+    connected.
+
     Yields graphs until the space is fully explored.  A pair allowed no
     length at all has no gem: nothing is yielded.
     """
@@ -508,6 +525,26 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
             for y in cycle:
                 seen[y][f] -= 1
 
+    def seals(u: int, v: int, m: list[int]) -> bool:
+        """Whether edge uv of the last color's matching m closes a proper component.
+
+        Walks u's component over every color with uv in place and stops at
+        the first vertex still free in m: a component holding one is open.
+        """
+        m[u], m[v] = v, u
+        reached, todo, sealed = {u, v}, [u, v], True
+        while todo and sealed:
+            w = todo.pop()
+            for mj in mats:
+                if (x := mj[w]) not in reached:
+                    if m[x] < 0:
+                        sealed = False
+                        break
+                    reached.add(x)
+                    todo.append(x)
+        m[u] = m[v] = -1
+        return sealed and len(reached) < n
+
     def free_room(v: int, top: int) -> int:
         """The longest cycle, up to top, that v may still lie on (0 if none)."""
         for f in free_desc:
@@ -564,6 +601,7 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
                     w, j = mats[j][w], (j + 1) % c
         return c, m, states, tracks, comp, comp_size, least, [0] * len(comp_size)
 
+    last = num_colors - 1
     bases: set[tuple] = set()  # keys of the completions opened so far
     u = 0 if allowed[(0, 1)] is None or 2 in allowed[(0, 1)] else 1
     frames: list[tuple] = [(u, u + 1 - step, open_color(1), (), ())]
@@ -594,20 +632,24 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
                 )
             ):
                 continue  # not the orbit's least vertex
-            closes = False
+            closes = 0
             for end, plen, lens, maxlen, room in states:
                 if end[u] == v:
                     if plen[u] + 1 not in lens:
                         break
-                    closes = True
+                    closes += 1
                 elif (verts := plen[u] + plen[v] + 2) > maxlen or room is not None and (
                     verts > room[u] or verts > room[v]
                 ):
                     break
-            else:  # no path cut: try the vertex-type cut
+            else:  # no path cut: try the vertex-type cut, then the seal cut
                 counted = count_closed(u, v, m, tracks) if closes and tracks else ()
-                if counted is not None:
-                    break  # uv passes every cut
+                if counted is None:
+                    continue
+                if c == last and closes == len(states) and m.count(-1) > 2 and seals(u, v, m):
+                    uncount(counted)
+                    continue
+                break  # uv passes every cut
         else:
             frames.pop()
             continue
@@ -670,8 +712,6 @@ def _leaf_filter(spec: SearchSpec) -> Callable[[ColoredGraph], bool]:
     target = None if spec.vertex_types is None else list(spec.vertex_types)
 
     def leaf(g: ColoredGraph) -> bool:
-        if not g.is_connected():
-            return False
         if spec.bipartite == "none" and is_bipartite(g):
             return False
         if target is not None and not all(
@@ -691,7 +731,8 @@ def _run_search(
     """The hits of ``spec`` in search order, and whether the search ended.
 
     Each leaf meets the leaf filter once; each hit's constrained pairs are
-    re-walked as an independent net.  ``limit`` (at least 1, else
+    re-walked and its connectivity tested as an independent net (the DFS's
+    seal cut leaves no disconnected leaf).  ``limit`` (at least 1, else
     ``ValueError``) stops the search after that many hits.
     """
     if limit is not None and limit < 1:
@@ -703,6 +744,8 @@ def _run_search(
         for (a, b), lens in constrained:
             if not set(bicolored_cycle_lengths(g.matchings[a], g.matchings[b])) <= lens:
                 raise AssertionError("search produced a graph violating its spec")
+        if not g.is_connected():
+            raise AssertionError("search produced a disconnected graph")
         hits.append(g)
         if len(hits) == limit:
             return hits, False

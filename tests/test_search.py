@@ -30,6 +30,7 @@ from gemkit.search import (
 from helpers import (
     all_perfect_matchings,
     oracle_canonical_labeling,
+    oracle_component_count,
     oracle_components,
     oracle_is_bipartite,
     stored_hit_list,
@@ -321,6 +322,21 @@ ORBIT_HIT_LISTS = {
 }
 
 
+def _spec_id(spec) -> str:
+    """A test id naming the spec alone, so that a re-pinned value keeps the id."""
+    parts = [f"{spec.colors}c", f"n{spec.order}"]
+    if spec.vertex_types:
+        parts.append("vt" + ".".join(map(str, spec.vertex_types)))
+    parts += [f"{a}{b}:" + ".".join(map(str, ls)) for (a, b), ls in spec.pair_lengths or ()]
+    if spec.bipartite != "any":
+        parts.append(spec.bipartite)
+    if spec.bigons == "include":
+        parts.append("bigons")
+    if spec.chi is not None:
+        parts.append(f"chi{spec.chi}")
+    return "-".join(parts)
+
+
 def _json_digest(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
@@ -501,7 +517,9 @@ def _counted_dfs(spec):
 # leaf (the cycle counts cut them when the cycle closes), so the number of
 # leaves is pinned too.  The (4,4,6,6)/12 list and the (4,6,12)/24 leaves
 # (3,072 hits; 98 leaves) were re-pinned when the DFS began to skip
-# lower-color completions isomorphic to earlier ones.
+# lower-color completions isomorphic to earlier ones, and the (4,6,12)/24
+# leaves again (42 -> 18, its 18 hits) when the seal cut began to drop
+# every disconnected leaf.
 ROOM_CUT_HIT_LISTS = [
     (
         SearchSpec(colors=3, order=20, vertex_types=(4, 4, 10)),
@@ -528,13 +546,17 @@ ROOM_CUT_HIT_LISTS = [
         SearchSpec(colors=3, order=24, vertex_types=(4, 6, 12), bipartite="only"),
         18,
         "3d312f67d5ec04076fbe07200017a803231b0a427574519d1619553834ba28b8",
-        42,
+        18,
         1,
     ),
 ]
 
 
-@pytest.mark.parametrize("spec, count, digest, leaves, classes", ROOM_CUT_HIT_LISTS)
+@pytest.mark.parametrize(
+    "spec, count, digest, leaves, classes",
+    ROOM_CUT_HIT_LISTS,
+    ids=[_spec_id(spec) for spec, *_ in ROOM_CUT_HIT_LISTS],
+)
 def test_room_cut_hit_lists_pinned(spec, count, digest, leaves, classes):
     hits, reached = _counted_dfs(spec)
     now = [[list(m) for m in g.matchings] for g in hits]
@@ -561,13 +583,14 @@ def test_vertex_types_prune_inside_the_dfs():
 
 
 def test_bipartite_prunes_inside_the_dfs():
-    # (4,8,8)/16: the "any" spec has no parity cut, and 220 leaves reach
-    # the leaf filter, 204 of them not bipartite.  The "only" spec covers
+    # (4,8,8)/16: the "any" spec has no parity cut, and 45 leaves reach
+    # the leaf filter, 36 of them not bipartite.  The "only" spec covers
     # the parity normal form, where every edge joins an even and an odd
-    # vertex: it reaches 16 leaves, all bipartite, for 9 hits.  Those are
+    # vertex: it reaches 9 leaves, all bipartite, all hits.  Those are
     # other labelings than the bipartite hits of "any", of the same
     # color-fixed classes.  (Before the DFS skipped color-1 completions
-    # isomorphic to an earlier one: 320 leaves, 300 not bipartite, and 20.)
+    # isomorphic to an earlier one: 320 leaves, 300 not bipartite, and 20;
+    # before the seal cut dropped the disconnected leaves: 220, 204 and 16.)
     runs = {
         mode: _counted_dfs(
             SearchSpec(colors=3, order=16, vertex_types=(4, 8, 8), bipartite=mode)
@@ -575,9 +598,9 @@ def test_bipartite_prunes_inside_the_dfs():
         for mode in ("any", "only")
     }
     (plain, plain_reached), (cut, cut_reached) = runs["any"], runs["only"]
-    assert len(plain_reached) == 220
-    assert sum(not oracle_is_bipartite(g) for g in plain_reached) == 204
-    assert len(cut_reached) == 16
+    assert len(plain_reached) == 45
+    assert sum(not oracle_is_bipartite(g) for g in plain_reached) == 36
+    assert len(cut_reached) == 9
     assert all(oracle_is_bipartite(g) for g in cut_reached)
     assert len(cut) == 9
     assert all(_in_parity_normal_form(g.matchings) for g in cut)
@@ -636,6 +659,23 @@ def test_order_24_bipartite_4_6_12_search_finds_a_torus():
     assert euler_characteristic(g, eps) == 0
 
 
+def _three_color_oracle_specs(n):
+    """(vertex type, policy, spec) for every spec of the 3-color brute force at order n."""
+    for vt in itertools.combinations_with_replacement(range(2, n + 1, 2), 3):
+        for policy in ("any", "only", "none"):
+            bigons = "include" if 2 in vt else "exclude"
+            yield vt, policy, SearchSpec(colors=3, order=n, vertex_types=vt, bipartite=policy, bigons=bigons)
+
+
+def _four_color_oracle_specs(n=6):
+    """(vertex type, bigons, policy, spec) for every spec of the 4-color brute force."""
+    for vt in [None, *itertools.combinations_with_replacement(range(2, n + 1, 2), 4)]:
+        for bigons in ("include", "exclude"):
+            for policy in ("any", "only", "none"):
+                spec = SearchSpec(colors=4, order=n, vertex_types=vt, bipartite=policy, bigons=bigons)
+                yield vt, bigons, policy, spec
+
+
 def test_vertex_type_search_matches_brute_force():
     # Every 3-colored graph of order <= 8 over the fixed first matching,
     # sorted by the face multiset its vertices share (if they share one)
@@ -673,23 +713,16 @@ def test_vertex_type_search_matches_brute_force():
                 classes.setdefault(vt, set()).add(forms(g))
                 if oracle_is_bipartite(g):
                     bipartite.setdefault(vt, set()).add(forms(g))
-        for vt in itertools.combinations_with_replacement(range(2, n + 1, 2), 3):
+        for vt, policy, spec in _three_color_oracle_specs(n):
             every = classes.get(vt, set())
             only = bipartite.get(vt, set())
-            for policy, want in (("any", every), ("only", only), ("none", every - only)):
-                spec = SearchSpec(
-                    colors=3,
-                    order=n,
-                    vertex_types=vt,
-                    bipartite=policy,
-                    bigons="include" if 2 in vt else "exclude",
-                )
-                hits, exhaustive = search._run_search(spec)
-                assert exhaustive
-                got = {forms(g) for g in hits}
-                for i, mode in enumerate(modes):
-                    assert {f[i] for f in got} == {f[i] for f in want}, (n, vt, policy, mode)
-                assert len(find_gems(spec)) == len({f[1] for f in want}), (n, vt, policy)
+            want = {"any": every, "only": only, "none": every - only}[policy]
+            hits, exhaustive = search._run_search(spec)
+            assert exhaustive
+            got = {forms(g) for g in hits}
+            for i, mode in enumerate(modes):
+                assert {f[i] for f in got} == {f[i] for f in want}, (n, vt, policy, mode)
+            assert len(find_gems(spec)) == len({f[1] for f in want}), (n, vt, policy)
 
 
 def test_four_color_search_matches_brute_force():
@@ -726,24 +759,57 @@ def test_four_color_search_matches_brute_force():
         bigon = any(2 in col for col in face)
         graphs.append((f, oracle_is_bipartite(g), vt, bigon))
     raw = {}
-    for vt in [None, *itertools.combinations_with_replacement(range(2, n + 1, 2), 4)]:
-        for bigons in ("include", "exclude"):
-            for policy in ("any", "only", "none"):
-                want = {
-                    f
-                    for f, bip, t, bigon in graphs
-                    if (vt is None or t == vt)
-                    and (bigons == "include" or not bigon)
-                    and policy != ("none" if bip else "only")
-                }
-                spec = SearchSpec(colors=4, order=n, vertex_types=vt, bipartite=policy, bigons=bigons)
-                hits, exhaustive = search._run_search(spec)
-                assert exhaustive
-                got = {forms[g.matchings] for g in hits}
-                for i, mode in enumerate(("color-fixed", "color-permuting")):
-                    assert {f[i] for f in got} == {f[i] for f in want}, (vt, bigons, policy, mode)
-                raw[vt, bigons, policy] = len(hits)
+    for vt, bigons, policy, spec in _four_color_oracle_specs(n):
+        want = {
+            f
+            for f, bip, t, bigon in graphs
+            if (vt is None or t == vt)
+            and (bigons == "include" or not bigon)
+            and policy != ("none" if bip else "only")
+        }
+        hits, exhaustive = search._run_search(spec)
+        assert exhaustive
+        got = {forms[g.matchings] for g in hits}
+        for i, mode in enumerate(("color-fixed", "color-permuting")):
+            assert {f[i] for f in got} == {f[i] for f in want}, (vt, bigons, policy, mode)
+        raw[vt, bigons, policy] = len(hits)
     assert (raw[None, "include", "any"], raw[None, "include", "only"]) == (221, 56)
+
+
+def test_every_leaf_is_connected():
+    # The seal cut drops a branch once a last-color edge closes a component
+    # short of every vertex, so every graph the DFS completes is connected
+    # (by the union-find of tests/helpers, not the library's walk).  The
+    # specs: those of both brute-force oracles, every pinned list and an
+    # unconstrained one with bigons, which keeps no path state at the last
+    # color.  Their hit lists are pinned above, so the cut drops only
+    # leaves that the hits never held.
+    specs = [spec for n in (4, 6, 8) for *_, spec in _three_color_oracle_specs(n)]
+    specs += [spec for *_, spec in _four_color_oracle_specs()]
+    specs += [
+        spec
+        for spec, *_ in PINNED_HIT_LISTS
+        + PINNED_BIPARTITE_HIT_LISTS
+        + VERTEX_0_HIT_LISTS
+        + ROOM_CUT_HIT_LISTS
+    ]
+    specs.append(SearchSpec(colors=4, order=8, bigons="include"))
+    leaves = 0
+    for spec in specs:
+        for g in search._matching_dfs(spec):
+            assert oracle_component_count(g, g.colors) == 1, spec
+            leaves += 1
+    assert leaves > 10_000
+
+
+def test_disconnected_hit_raises(monkeypatch):
+    # The per-hit net: a disconnected graph that reaches the hits (here two
+    # copies of the 4-vertex 3-colored graph, which the leaf filter of an
+    # unconstrained spec passes) raises instead of being returned.
+    m = [(1, 0, 3, 2, 5, 4, 7, 6), (3, 2, 1, 0, 7, 6, 5, 4), (2, 3, 0, 1, 6, 7, 4, 5)]
+    monkeypatch.setattr(search, "_matching_dfs", lambda spec: iter([ColoredGraph(m)]))
+    with pytest.raises(AssertionError, match="disconnected"):
+        search._run_search(SearchSpec(colors=3, order=8))
 
 
 def test_base_key_matches_brute_force_isomorphism():
