@@ -18,15 +18,15 @@ cycle of a cyclically consecutive color pair adds its length to a count at
 every vertex on it when it closes, and a vertex holding more cycles of one
 length than the multiset allows cuts the branch.  The counts also bound
 each open path of such a pair: a path cannot outgrow the longest cycle
-that every vertex on it may still lie on.  These cuts only drop branches
-whose leaves would all fail the leaf filter.  At the last color, an edge
+that every vertex on it may still lie on.  At the last color, an edge
 that closes a component short of every vertex cuts the branch (the seal
-cut), so every graph the search completes is connected and the leaf
-filter does not test connectivity.  A bipartite-only spec builds no odd
-cycle at all: it covers only the parity normal form, in which every edge
-joins an even and an odd vertex.  Swapping the ends of some color-0 edges
-brings every bipartite graph into that form and leaves color 0 as it is,
-so every class keeps a representative.
+cut).  So every graph the search completes is connected and of the vertex
+type (proofs in ``_matching_dfs``); ``_run_search`` tests the rest,
+bipartiteness for ``"none"`` and chi, walking each pair once.  A
+bipartite-only spec builds no odd cycle at all: it covers only the parity
+normal form, in which every edge joins an even and an odd vertex.
+Swapping the ends of some color-0 edges brings every bipartite graph
+into that form and keeps color 0, so every class keeps a representative.
 
 Two isomorph rejections keep the search from rebuilding what it already
 built (see ``_matching_dfs``).  Colors 1 and 2 skip symmetric partners
@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     ColoredGraph,
@@ -65,7 +65,7 @@ from .core import (
 from .embedding import (
     CyclicPermutation,
     _canonical_cyclic,
-    _face_lengths,
+    _cycle_count,
     _runs,
     condensed_str,
     euler_characteristic,
@@ -368,7 +368,7 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     it has in place (merged path ends and counted cycles).  Re-entering a
     frame undoes that edge and scans the remaining partners; placing an
     edge pushes a frame for the next free vertex, opens the next color, or
-    at the last color yields it as a leaf for the caller to filter.
+    at the last color yields it as a leaf for the caller to test.
     Partners ascend at every frame, so the leaves come in lexicographic
     order of their matchings.
 
@@ -420,7 +420,7 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     below a later one B.  Let H be the first hit of a color-fixed class
     without the base rule, and suppose the rule skipped its base B for an
     earlier B'.  Then phi carries H to a graph of H's
-    class over B' that the search covers (the cuts and the leaf filter are
+    class over B' that the search covers (the cuts and the leaf tests are
     invariant), and by the orbit rule within the subtree of B' the search
     without the base rule has a hit of that class below B', before H: a
     contradiction.  So no base of H is skipped, the hits are a subsequence
@@ -433,12 +433,14 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     all-squares order-16 search lost one of its 16 color-fixed classes).
     The keys are local to one call.
 
-    With ``spec.vertex_types`` (the leaf filter's per-vertex face multiset
-    over the cyclically consecutive color pairs), every cycle of such a
+    With ``spec.vertex_types``, every cycle of a cyclically consecutive
     pair that the search closes adds its length to a count at each of its
     vertices, and a branch is cut once some vertex lies on more cycles of
-    one length than the multiset holds: every leaf below it would fail the
-    leaf filter.
+    one length than the multiset holds.  So every leaf has the type: each
+    vertex v lies on one cycle of each of the ``colors`` tracked pairs,
+    counted when its last edge was placed, so v's counts sum to ``colors``;
+    none exceeds ``cap``, which sums to ``colors``, so they equal ``cap``.
+    If the type has a length above n, ``cap`` sums to less: no leaf exists.
 
     The same counts bound open paths (the room cut).  When color c opens a
     tracked pair (j, c), a vertex v's room is the largest length f up to
@@ -448,11 +450,11 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     not closed yet, so its length is one of v's free lengths then and at
     most v's room; it contains every vertex of v's path.  A merge whose
     path (``plen[u] + plen[v] + 2`` vertices) exceeds the room at either
-    end therefore has no leaf that passes the vertex-type check, and is
-    cut.  Rooms are taken when the pair opens and only fall as paths
-    merge (set and undone with ``plen``); cycles closed later in the color
-    would lower them further, so they stay sound bounds.  A pair whose
-    rooms all equal its longest length keeps only the ``maxlen`` test.
+    end therefore has no leaf, and is cut.  Rooms are taken when the pair
+    opens and only fall as paths merge (set and undone with ``plen``);
+    cycles closed later in the color would lower them further, so they
+    stay sound bounds.  A pair whose rooms all equal its longest length
+    keeps only the ``maxlen`` test.
 
     The seal cut: at the last color, an edge uv that closes a component
     of fewer than n vertices with no vertex left free in the last color
@@ -707,43 +709,41 @@ def _standard_matching(n: int) -> tuple[int, ...]:
     return tuple(v + 1 if v % 2 == 0 else v - 1 for v in range(n))
 
 
-def _leaf_filter(spec: SearchSpec) -> Callable[[ColoredGraph], bool]:
-    eps = CyclicPermutation(tuple(range(spec.colors)))
-    target = None if spec.vertex_types is None else list(spec.vertex_types)
-
-    def leaf(g: ColoredGraph) -> bool:
-        if spec.bipartite == "none" and is_bipartite(g):
-            return False
-        if target is not None and not all(
-            sorted(faces) == target for faces in zip(*_face_lengths(g, eps))
-        ):
-            return False
-        if spec.chi is not None and euler_characteristic(g, eps) != spec.chi:
-            return False
-        return True
-
-    return leaf
-
-
 def _run_search(
     spec: SearchSpec, limit: Optional[int] = None
 ) -> tuple[list[ColoredGraph], bool]:
     """The hits of ``spec`` in search order, and whether the search ended.
 
-    Each leaf meets the leaf filter once; each hit's constrained pairs are
-    re-walked and its connectivity tested as an independent net (the DFS's
-    seal cut leaves no disconnected leaf).  ``limit`` (at least 1, else
-    ``ValueError``) stops the search after that many hits.
+    The one place a leaf is tested; the DFS decides vertex types and
+    connectivity.  A bipartite leaf of a ``"none"`` spec goes first, then
+    each constrained pair (and each consecutive one for ``vertex_types``
+    or ``chi``) is walked once and a leaf of another chi goes.  On a hit
+    the same walks are a net: a length outside its allowed set, a vertex
+    of another type or a disconnected hit raises ``AssertionError``.
+    ``limit`` (at least 1, else ``ValueError``) stops after that many hits.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    leaf = _leaf_filter(spec)
     constrained = [(p, lens) for p, lens in _allowed_map(spec).items() if lens is not None]
+    faced = _consecutive_pairs(spec.colors) if spec.vertex_types or spec.chi is not None else ()
+    walks = [*faced, *(p for p, _ in constrained if p not in faced)]  # faced first: faces[:k]
+    checks = [(walks.index(p), lens) for p, lens in constrained]
+    k, target = len(faced), list(spec.vertex_types or ())
+    chi, shift = spec.chi, (2 - spec.colors) * spec.order // 2  # chi = g-values + shift
+    drop_bipartite = spec.bipartite == "none"
     hits: list[ColoredGraph] = []
-    for g in filter(leaf, _matching_dfs(spec)):
-        for (a, b), lens in constrained:
-            if not set(bicolored_cycle_lengths(g.matchings[a], g.matchings[b])) <= lens:
-                raise AssertionError("search produced a graph violating its spec")
+    for g in _matching_dfs(spec):
+        if drop_bipartite and is_bipartite(g):
+            continue
+        if walks:
+            faces = [bicolored_cycle_lengths(g.matchings[a], g.matchings[b]) for a, b in walks]
+            if chi is not None and sum(map(_cycle_count, faces[:k])) + shift != chi:
+                continue
+            for i, lens in checks:
+                if not lens.issuperset(faces[i]):
+                    raise AssertionError("search produced a graph violating its spec")
+            if target and not all(map(target.__eq__, map(sorted, zip(*faces[:k])))):
+                raise AssertionError("search produced a graph of another vertex type")
         if not g.is_connected():
             raise AssertionError("search produced a disconnected graph")
         hits.append(g)

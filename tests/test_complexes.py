@@ -445,7 +445,7 @@ SPHERE_TEST_GEMS = {
 
 
 @pytest.mark.parametrize("label", list(SPHERE_TEST_GEMS))
-def test_sphere_test_on_lower_half_matches_full_homology(label):
+def test_residue_recursion_matches_full_homology(label):
     g = SPHERE_TEST_GEMS[label]
     memo = {}
     got = _manifold_check(g, memo)

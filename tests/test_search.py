@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -5,6 +6,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -30,6 +32,7 @@ from gemkit.search import (
 from helpers import (
     all_perfect_matchings,
     oracle_canonical_labeling,
+    oracle_chi_from_counts,
     oracle_component_count,
     oracle_components,
     oracle_is_bipartite,
@@ -505,9 +508,14 @@ def test_search_report_pinned(spec, digest):
 
 
 def _counted_dfs(spec):
-    """Run the DFS of ``spec``; return its hits and every leaf it reached."""
+    """Run the DFS of ``spec`` once; return its hits and every leaf it reached.
+
+    The hits are those ``_run_search`` keeps of the leaves reached.
+    """
     reached = list(search._matching_dfs(spec))
-    return list(filter(search._leaf_filter(spec), reached)), reached
+    with mock.patch.object(search, "_matching_dfs", lambda _: iter(reached)):
+        hits, _ = search._run_search(spec)
+    return hits, reached
 
 
 # Specs where the room cut prunes most of the DFS: each open path is bounded
@@ -575,16 +583,16 @@ def test_bigon_free_hits_take_the_edge_1_2():
 
 def test_vertex_types_prune_inside_the_dfs():
     # (4,6,12)/12: the per-vertex cycle counts cut every branch whose
-    # leaves would fail the vertex-type check, so every leaf reached is a
+    # leaves would have another vertex type, so every leaf reached is a
     # hit (42 of them; without the counts and the orbit rule on color 2,
-    # 5,816 leaves reached the leaf filter for 546 hits).
+    # 5,816 leaves reached the leaf tests for 546 hits).
     hits, reached = _counted_dfs(SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12)))
     assert len(hits) == len(reached) == 42
 
 
 def test_bipartite_prunes_inside_the_dfs():
     # (4,8,8)/16: the "any" spec has no parity cut, and 45 leaves reach
-    # the leaf filter, 36 of them not bipartite.  The "only" spec covers
+    # the leaf tests, 36 of them not bipartite.  The "only" spec covers
     # the parity normal form, where every edge joins an even and an odd
     # vertex: it reaches 9 leaves, all bipartite, all hits.  Those are
     # other labelings than the bipartite hits of "any", of the same
@@ -626,7 +634,7 @@ def test_bipartite_squares_search_keeps_the_color_fixed_classes(order, raw):
     + [SearchSpec(colors=4, order=16, pair_lengths=_SQUARES, bipartite="only")],
 )
 def test_bipartite_search_reaches_only_bipartite_leaves(spec):
-    # The leaf filter does not test bipartiteness for a bipartite-only spec:
+    # _run_search does not test bipartiteness for a bipartite-only spec:
     # the DFS builds the parity normal form, so every leaf is bipartite.
     reached = list(search._matching_dfs(spec))
     assert reached
@@ -657,6 +665,16 @@ def test_order_24_bipartite_4_6_12_search_finds_a_torus():
     for v in range(g.vertex_count):
         assert sorted(face_cycle_type(g, eps, v)) == [4, 6, 12]
     assert euler_characteristic(g, eps) == 0
+
+
+def _oracle_vertex_types(g, pairs):
+    """Each vertex's sorted face lengths over ``pairs``, from component sizes."""
+    face = [[0] * g.vertex_count for _ in pairs]
+    for i, pair in enumerate(pairs):
+        for comp in oracle_components(g, pair):
+            for v in comp:
+                face[i][v] = len(comp)
+    return [tuple(sorted(col)) for col in zip(*face)]
 
 
 def _three_color_oracle_specs(n):
@@ -702,12 +720,7 @@ def test_vertex_type_search_matches_brute_force():
                 continue
             if len(oracle_components(g, g.colors)) != 1:
                 continue
-            face = [[0] * n for _ in range(3)]
-            for i, pair in enumerate(((0, 1), (1, 2), (0, 2))):
-                for comp in oracle_components(g, pair):
-                    for v in comp:
-                        face[i][v] = len(comp)
-            types = {tuple(sorted(col[v] for col in face)) for v in range(n)}
+            types = set(_oracle_vertex_types(g, ((0, 1), (1, 2), (0, 2))))
             if len(types) == 1:
                 vt = types.pop()
                 classes.setdefault(vt, set()).add(forms(g))
@@ -749,14 +762,9 @@ def test_four_color_search_matches_brute_force():
         if fixed not in permuting:
             permuting[fixed] = oracle_canonical_labeling(g, "color-permuting")[0]
         f = forms[g.matchings] = (fixed, permuting[fixed])
-        face = [[0] * n for _ in pairs]
-        for i, pair in enumerate(pairs):
-            for comp in oracle_components(g, pair):
-                for v in comp:
-                    face[i][v] = len(comp)
-        types = {tuple(sorted(col[v] for col in face)) for v in range(n)}
+        types = set(_oracle_vertex_types(g, pairs))
+        bigon = any(2 in t for t in types)
         vt = types.pop() if len(types) == 1 else None
-        bigon = any(2 in col for col in face)
         graphs.append((f, oracle_is_bipartite(g), vt, bigon))
     raw = {}
     for vt, bigons, policy, spec in _four_color_oracle_specs(n):
@@ -776,14 +784,13 @@ def test_four_color_search_matches_brute_force():
     assert (raw[None, "include", "any"], raw[None, "include", "only"]) == (221, 56)
 
 
-def test_every_leaf_is_connected():
-    # The seal cut drops a branch once a last-color edge closes a component
-    # short of every vertex, so every graph the DFS completes is connected
-    # (by the union-find of tests/helpers, not the library's walk).  The
-    # specs: those of both brute-force oracles, every pinned list and an
-    # unconstrained one with bigons, which keeps no path state at the last
-    # color.  Their hit lists are pinned above, so the cut drops only
-    # leaves that the hits never held.
+def _leaf_test_specs():
+    """The specs whose every leaf the leaf-level tests below check.
+
+    Those of both brute-force oracles, every pinned list and an
+    unconstrained one with bigons, which keeps no path state at the last
+    color.
+    """
     specs = [spec for n in (4, 6, 8) for *_, spec in _three_color_oracle_specs(n)]
     specs += [spec for *_, spec in _four_color_oracle_specs()]
     specs += [
@@ -794,22 +801,102 @@ def test_every_leaf_is_connected():
         + ROOM_CUT_HIT_LISTS
     ]
     specs.append(SearchSpec(colors=4, order=8, bigons="include"))
+    return specs
+
+
+def test_every_leaf_is_connected():
+    # The seal cut drops a branch once a last-color edge closes a component
+    # short of every vertex, so every graph the DFS completes is connected
+    # (by the union-find of tests/helpers, not the library's walk).  The
+    # hit lists of these specs are pinned above, so the cut drops only
+    # leaves that the hits never held.
     leaves = 0
-    for spec in specs:
+    for spec in _leaf_test_specs():
         for g in search._matching_dfs(spec):
             assert oracle_component_count(g, g.colors) == 1, spec
             leaves += 1
     assert leaves > 10_000
 
 
+def test_every_leaf_has_its_vertex_type():
+    # The per-vertex cycle counts decide the vertex type, so _run_search
+    # does not test it: every leaf the DFS yields for a vertex-type spec
+    # has the type at every vertex, over the identity arrangement's pairs,
+    # with face lengths from the union-find of tests/helpers.
+    leaves = 0
+    for spec in _leaf_test_specs():
+        if spec.vertex_types is None:
+            continue
+        pairs = [(c, (c + 1) % spec.colors) for c in range(spec.colors)]
+        for g in search._matching_dfs(spec):
+            assert set(_oracle_vertex_types(g, pairs)) == {spec.vertex_types}, spec
+            leaves += 1
+    assert leaves > 2_000
+
+
 def test_disconnected_hit_raises(monkeypatch):
     # The per-hit net: a disconnected graph that reaches the hits (here two
-    # copies of the 4-vertex 3-colored graph, which the leaf filter of an
-    # unconstrained spec passes) raises instead of being returned.
+    # copies of the 4-vertex 3-colored graph, which the leaf tests of an
+    # unconstrained spec pass) raises instead of being returned.
     m = [(1, 0, 3, 2, 5, 4, 7, 6), (3, 2, 1, 0, 7, 6, 5, 4), (2, 3, 0, 1, 6, 7, 4, 5)]
     monkeypatch.setattr(search, "_matching_dfs", lambda spec: iter([ColoredGraph(m)]))
     with pytest.raises(AssertionError, match="disconnected"):
         search._run_search(SearchSpec(colors=3, order=8))
+
+
+@pytest.mark.parametrize(
+    "spec, m, message",
+    [
+        # every face of colors 0 and 1 is a bigon, which the spec excludes
+        (
+            SearchSpec(colors=3, order=4),
+            [(1, 0, 3, 2), (1, 0, 3, 2), (2, 3, 0, 1)],
+            "violating its spec",
+        ),
+        # every face is a square: each length is allowed (the pairs are
+        # unconstrained at order 4 with bigons), but the type is (4, 4, 4)
+        (
+            SearchSpec(colors=3, order=4, vertex_types=(2, 4, 4), bigons="include"),
+            [(1, 0, 3, 2), (3, 2, 1, 0), (2, 3, 0, 1)],
+            "another vertex type",
+        ),
+    ],
+    ids=["pair-length", "vertex-type"],
+)
+def test_connected_hit_breaking_its_spec_raises(monkeypatch, spec, m, message):
+    # The per-hit net re-checks each hit on the walks _run_search made:
+    # a connected graph that breaks its spec raises instead of being
+    # returned.
+    g = ColoredGraph(m)
+    assert g.is_connected()
+    monkeypatch.setattr(search, "_matching_dfs", lambda spec: iter([g]))
+    with pytest.raises(AssertionError, match=message):
+        search._run_search(spec)
+
+
+CHI_FILTER_SPECS = [
+    SearchSpec(colors=3, order=8, bigons="include"),
+    SearchSpec(colors=3, order=10, bipartite="none"),
+    SearchSpec(colors=4, order=6, bigons="include"),
+    SearchSpec(colors=4, order=8),
+]
+
+
+@pytest.mark.parametrize("spec", CHI_FILTER_SPECS, ids=_spec_id)
+def test_chi_filters_hits_without_a_vertex_type(spec):
+    # A vertex type fixes chi, so on the pinned specs the chi test never
+    # discriminates.  Unconstrained, the hits of each chi from -4 to 2 are
+    # the chi-free hits of that Euler characteristic (vertices - edges +
+    # faces, counted by tests/helpers), in order, and together all of them.
+    pairs = [(c, (c + 1) % spec.colors) for c in range(spec.colors)]
+    every, _ = search._run_search(spec)
+    kept = 0
+    for chi in range(-4, 3):
+        hits, _ = search._run_search(dataclasses.replace(spec, chi=chi))
+        want = [g for g in every if oracle_chi_from_counts(g, pairs) == chi]
+        assert [g.matchings for g in hits] == [g.matchings for g in want], chi
+        kept += len(hits)
+    assert kept == len(every)
 
 
 def test_base_key_matches_brute_force_isomorphism():
