@@ -1,13 +1,14 @@
 """Constructors for the gem families and the figure catalog.
 
-Every generator validates its output against the family's characterizing
-invariants (order, residue counts, face-cycle type, Euler characteristic,
-orientability, homology) before returning; getting a graph back means all
-checks passed.  Every family and both parametric catalog entries are
-built in closed form; every fixed catalog entry is the first hit of one
-direct 3-color search for its order, face type and orientability.  Built
-graphs are kept in a process-wide cache guarded by a lock; cached graphs
-are immutable, so concurrent generation is safe.
+Every generator validates its output before returning, in one call of
+``_expect_gem`` that declares the gem's order, orientability, identity face
+type and Euler characteristic, H1 and manifold verdict, next to any family
+rule such as residue counts; getting a graph back means all checks passed.
+Every family and both parametric catalog entries are built in closed form;
+every fixed catalog entry is the first hit of one direct 3-color search
+for its order, face type and orientability.  Built graphs are kept in a
+process-wide cache guarded by a lock; cached graphs are immutable, so
+concurrent generation is safe, and every caller of one key gets one object.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .embedding import (
 from .complexes import (
     CERTIFIED_3_MANIFOLD,
     HOMOLOGY_CERTIFIED,
-    HomologyProfile,
     ManifoldVerdict,
     homology,
     manifold_check,
@@ -49,9 +49,9 @@ def _cached(key: tuple, build) -> ColoredGraph:
     if hit is not None:
         return hit
     g = build()
+    # A build for the same key may have landed first; every caller gets that one.
     with _cache_lock:
-        _cache.setdefault(key, g)
-    return g
+        return _cache.setdefault(key, g)
 
 
 def _expect(condition: bool, family: str, message: str) -> None:
@@ -59,23 +59,41 @@ def _expect(condition: bool, family: str, message: str) -> None:
         raise FamilyValidationError(f"{family}: {message}")
 
 
-def _expect_type(
-    g: ColoredGraph, family: str, faces: tuple[int, ...], bigons: str
+def _expect_gem(
+    g: ColoredGraph,
+    family: str,
+    order: int,
+    orientable: bool,
+    faces: tuple[int, ...],
+    chi: int,
+    h1: Optional[tuple[int, tuple[int, ...]]],
+    bigons: str = "exclude",
+    verdict: Optional[str] = None,
 ) -> None:
+    """Check a built gem against its declaration, cheapest first: order,
+    connectivity, orientability (bipartiteness), the identity arrangement's
+    face type and chi, then H1 as (rank, torsion) and the ``manifold_check``
+    kind unless they are None.
+    """
+    _expect(g.vertex_count == order, family, f"order {g.vertex_count} differs from {order}")
+    _expect(g.is_connected(), family, "graph must be connected")
+    _expect(is_bipartite(g) == orientable, family, "orientability mismatch")
     eps = CyclicPermutation(tuple(range(g.dimension + 1)))
     sig = semi_equivelar_type(g, eps, bigons)
     want = TypeSignature.from_tuple(faces)
     _expect(sig == want, family, f"face type {sig} differs from {want}")
-
-
-def _expect_h1(g: ColoredGraph, family: str, rank: int, torsion: tuple[int, ...]) -> HomologyProfile:
-    hom = homology(g)
-    _expect(
-        hom.groups[1] == (rank, torsion),
-        family,
-        f"H1 is {hom.group_str(1)}, expected rank {rank} torsion {torsion}",
-    )
-    return hom
+    got = euler_characteristic(g, eps)
+    _expect(got == chi, family, f"chi {got} differs from {chi}")
+    if h1 is not None:
+        hom = homology(g)
+        _expect(
+            hom.groups[1] == h1,
+            family,
+            f"H1 is {hom.group_str(1)}, expected rank {h1[0]} torsion {h1[1]}",
+        )
+    if verdict is not None:
+        kind = manifold_check(g).kind
+        _expect(kind == verdict, family, f"verdict {kind}, wanted {verdict}")
 
 
 def _expect_surface(
@@ -87,17 +105,9 @@ def _expect_surface(
     faces: tuple[int, ...],
 ) -> None:
     """Check a 3-colored gem against the closed surface it should encode."""
-    _expect(g.vertex_count == order, family, f"order {g.vertex_count} differs from {order}")
-    _expect(g.is_connected(), family, "graph must be connected")
-    _expect(is_bipartite(g) == orientable, family, "orientability mismatch")
-    _expect_type(g, family, faces, "exclude")
-    got = euler_characteristic(g, CyclicPermutation((0, 1, 2)))
-    _expect(got == chi, family, f"chi {got} differs from {chi}")
     # A closed surface's first homology is pinned by chi and orientability.
-    if orientable:
-        _expect_h1(g, family, 2 - chi, ())
-    else:
-        _expect_h1(g, family, 1 - chi, (2,))
+    h1 = (2 - chi, ()) if orientable else (1 - chi, (2,))
+    _expect_gem(g, family, order, orientable, faces, chi, h1)
 
 
 def standard_sphere(d: int) -> ColoredGraph:
@@ -111,14 +121,7 @@ def standard_sphere(d: int) -> ColoredGraph:
 
     def build() -> ColoredGraph:
         g = ColoredGraph([(1, 0)] * (d + 1))
-        _expect(g.vertex_count == 2, "standard_sphere", "order must be 2")
-        if d >= 2:
-            eps = CyclicPermutation(tuple(range(d + 1)))
-            _expect(
-                euler_characteristic(g, eps) == 2,
-                "standard_sphere",
-                "embedding surface must be the sphere",
-            )
+        _expect_gem(g, "standard_sphere", 2, True, (2,) * (d + 1), 2, None, "include")
         return g
 
     return _cached(("sphere", d), build)
@@ -183,13 +186,7 @@ def lens_gem(p: int, q: int, k: int) -> ColoredGraph:
     def build() -> ColoredGraph:
         g = ColoredGraph(_lens_matchings(p, k, 2 * q))
         fam = f"lens_gem({p},{q},{k})"
-        _expect(g.vertex_count == 2 * p * k, fam, "order must be 2pk")
-        _expect(g.is_connected(), fam, "graph must be connected")
-        _expect(is_bipartite(g), fam, "graph must be bipartite")
         _expect(residue_count(g, (0, 2)) == k, fam, "there must be k double cycles")
-        _expect_type(g, fam, (4, 4, 4, 4), "exclude")
-        eps = CyclicPermutation((0, 1, 2, 3))
-        _expect(euler_characteristic(g, eps) == 0, fam, "identity surface must be the torus")
         # With more than two double cycles the last-color residue splits;
         # with exactly two it stays connected only for coprime shift data
         # (a zero shift behaves like gcd(p, 0) = p).
@@ -199,16 +196,10 @@ def lens_gem(p: int, q: int, k: int) -> ColoredGraph:
             fam,
             "contractedness differs from the coprimality rule",
         )
-        if q == 0:
-            _expect_h1(g, fam, 0, ())
-        elif math.gcd(p, q) == 1:
-            _expect_h1(g, fam, 0, (p,) if p > 1 else ())
+        h1 = verdict = None  # declared for q = 0 (the 3-sphere) and coprime q (H1 = Z_p)
         if q == 0 or math.gcd(p, q) == 1:
-            _expect(
-                manifold_check(g).kind == CERTIFIED_3_MANIFOLD,
-                fam,
-                "residues must certify a 3-manifold",
-            )
+            h1, verdict = (0, (p,) if q else ()), CERTIFIED_3_MANIFOLD
+        _expect_gem(g, fam, 2 * p * k, True, (4, 4, 4, 4), 0, h1, verdict=verdict)
         return g
 
     return _cached(("lens", p, q, k), build)
@@ -392,16 +383,9 @@ def sphere_times_circle_gem(d: int, twisted: bool = False) -> ColoredGraph:
             m[d][w] = u
         g = ColoredGraph(m)
         fam = f"sphere_times_circle_gem({d}, twisted={twisted})"
-        _expect(g.vertex_count == n, fam, "order must be 2(d+1)")
-        _expect(g.is_connected(), fam, "graph must be connected")
-        _expect(is_bipartite(g) == (not twisted), fam, "orientability mismatch")
-        _expect_type(g, fam, (2,) * (d - 2) + (6, 6, 6), "include")
-        eps = CyclicPermutation(tuple(range(count)))
-        _expect(euler_characteristic(g, eps) == 0, fam, "identity surface must have chi 0")
-        _expect_h1(g, fam, 1, ())
-        verdict = manifold_check(g)
-        wanted = CERTIFIED_3_MANIFOLD if d == 3 else HOMOLOGY_CERTIFIED
-        _expect(verdict.kind == wanted, fam, f"verdict {verdict.kind}, wanted {wanted}")
+        faces = (2,) * (d - 2) + (6, 6, 6)
+        verdict = CERTIFIED_3_MANIFOLD if d == 3 else HOMOLOGY_CERTIFIED
+        _expect_gem(g, fam, n, not twisted, faces, 0, (1, ()), "include", verdict)
         return g
 
     return _cached(("sphere_times_circle", d, twisted), build)
@@ -571,14 +555,9 @@ def catalog(name: str, p: Optional[int] = None) -> ColoredGraph:
 
     def build() -> ColoredGraph:
         g = _build_catalog_gem(entry, param)
-        _expect_surface(
-            g,
-            f"catalog[{name}]",
-            _catalog_length(str(entry.order), param),
-            entry.orientable,
-            entry.chi,
-            _catalog_faces(entry, param),
-        )
+        order = _catalog_length(str(entry.order), param)
+        faces = _catalog_faces(entry, param)
+        _expect_surface(g, f"catalog[{name}]", order, entry.orientable, entry.chi, faces)
         return g
 
     return _cached(("catalog", name, param), build)

@@ -101,21 +101,21 @@ def from_text(text: str) -> ColoredGraph:
         u, v, c = _int_fields(ln, "edge", "u v c")
         if not (0 <= u < n and 0 <= v < n and 0 <= c <= d):
             raise ValueError(f"edge line {_quote(ln)} out of range")
+        if u == v:
+            raise ValueError(f"edge line {_quote(ln)} is a loop at vertex {u}")
         edges.append((u, v, c, ln))
     # Checked before allocating (d+1) lists of n entries: the header alone
     # must not be able to ask for more memory than the file's size implies.
     expected = (d + 1) * n // 2
     if len(edges) != expected:
         raise ValueError(f"header {d} {n} needs {expected} edge lines, got {len(edges)}")
+    # The count, no loops and no revisits give each color n/2 disjoint edges.
     matchings = [[-1] * n for _ in range(d + 1)]
     for u, v, c, ln in edges:
         if matchings[c][u] != -1 or matchings[c][v] != -1:
             raise ValueError(f"vertex revisited by color {c} in line {_quote(ln)}")
         matchings[c][u] = v
         matchings[c][v] = u
-    for c, m in enumerate(matchings):
-        if -1 in m:
-            raise ValueError(f"color {c} does not cover every vertex")
     return ColoredGraph(matchings)
 
 

@@ -42,6 +42,15 @@ def test_gen_writes_gem_json(capsys, monkeypatch, tmp_path):
     assert gio.from_json(target.read_text()) == standard_sphere(3)
 
 
+@pytest.mark.parametrize("twisted", [False, True])
+def test_gen_sphere_circle(capsys, monkeypatch, twisted):
+    argv = ["gen", "sphere-circle", "--d", "4"] + (["--twisted"] if twisted else [])
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert code == 0
+    assert err == ""
+    assert gio.from_json(out) == sphere_times_circle_gem(4, twisted)
+
+
 def test_gen_unknown_family_and_missing_flag(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["gen", "dodecahedron"])
     assert code == 1
@@ -303,6 +312,10 @@ def test_analyze_rejects_non_integer_gem_fields(capsys, monkeypatch, gem, needle
             "color pair 01 is given twice",
         ),
         ({"colors": 3, "order": 8, "vertex_type": [4, 4, 4]}, "unknown key 'vertex_type'"),
+        ({"colors": 3, "order": 12, "bigons": "maybe"}, "bigons policy must be include or exclude"),
+        ({"colors": 3, "order": 12, "vertex_types": [4, 5, 4]}, "face lengths must be even"),
+        ({"colors": 3, "order": 12, "pair_lengths": [[0, 1]]}, "pair_lengths must map color pairs"),
+        ({"colors": 3, "order": 12, "pair_lengths": {"0x": [4]}}, "bad color pair '0x'"),
     ],
 )
 def test_search_rejects_malformed_spec(capsys, monkeypatch, tmp_path, spec, needle):
@@ -312,6 +325,21 @@ def test_search_rejects_malformed_spec(capsys, monkeypatch, tmp_path, spec, need
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and needle in err
+
+
+def test_search_text_output_lists_the_hits(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"colors": 3, "order": 12, "vertex_types": [4, 6, 12]}))
+    code, out, err = run(capsys, monkeypatch, ["search", "--spec", str(path)])
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "exhaustive: yes\n"
+        "hits: 3\n"
+        "  order 12  bipartite False  chi 0  vertex type [4, 6, 12]\n"
+        "  order 12  bipartite False  chi 0  vertex type [4, 6, 12]\n"
+        "  order 12  bipartite True  chi 0  vertex type [4, 6, 12]\n"
+    )
 
 
 @pytest.mark.parametrize("vertex_types", [0, False, "", {}, []])
@@ -332,6 +360,16 @@ def test_homology_rejects_deeply_nested_json(capsys, monkeypatch, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_rejects_a_loop_line(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "loop.txt"
+    path.write_text("1 2\n0 0 0\n0 1 1\n")
+    code, out, err = run(capsys, monkeypatch, ["analyze", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "is a loop at vertex 0" in err
     assert "Traceback" not in err
 
 

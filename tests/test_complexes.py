@@ -32,7 +32,7 @@ from gemkit.complexes import (
     smith_invariant_factors,
     sphere_profile,
 )
-from gemkit.embedding import _genus_zero
+from gemkit.embedding import _genus_zero, regular_genus
 from gemkit.generators import (
     catalog,
     lens_gem,
@@ -117,6 +117,13 @@ def test_complex_requires_connected():
     disconnected = ColoredGraph([[1, 0, 3, 2]] * 3)
     with pytest.raises(NotConnectedError):
         build_complex(disconnected)
+
+
+@pytest.mark.parametrize("check", [manifold_check, orientable, regular_genus])
+def test_gem_level_checks_reject_a_disconnected_graph(check):
+    # Two copies of the two-vertex 3-sphere gem.
+    with pytest.raises(NotConnectedError):
+        check(ColoredGraph([[1, 0, 3, 2]] * 4))
 
 
 def test_complex_json_export():

@@ -1,3 +1,7 @@
+import re
+import threading
+import time
+
 import pytest
 
 from gemkit.core import ColoredGraph, is_bipartite, is_contracted, isomorphic, residue_count
@@ -182,6 +186,68 @@ def test_expect_surface_names_the_family_on_a_wrong_orientability():
     generators._expect_surface(g, "torus", 6, True, 0, (6, 6, 6))
     with pytest.raises(FamilyValidationError, match=r"^torus: orientability mismatch"):
         generators._expect_surface(g, "torus", 6, False, 0, (6, 6, 6))
+
+
+def test_cached_hands_every_caller_of_one_key_the_same_object(monkeypatch):
+    monkeypatch.setattr(generators, "_cache", {})
+    key = ("reentrant",)
+    inner = []
+
+    def build_outer():
+        # A build for the same key lands in the cache before this one returns.
+        inner.append(generators._cached(key, lambda: ColoredGraph([(1, 0)] * 3)))
+        return ColoredGraph([(1, 0)] * 3)
+
+    outer = generators._cached(key, build_outer)
+    assert outer is inner[0] is generators._cache[key]
+
+
+def test_cached_hands_concurrent_builders_of_one_key_the_same_object(monkeypatch):
+    monkeypatch.setattr(generators, "_cache", {})
+    barrier = threading.Barrier(8, timeout=10)
+    results = []
+
+    def build():
+        time.sleep(0.01)  # every thread misses the cache before any build lands
+        return ColoredGraph([(1, 0)] * 3)
+
+    def worker():
+        barrier.wait()
+        results.append(generators._cached(("concurrent",), build))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(g is generators._cache[("concurrent",)] for g in results)
+
+
+# Every builder validates through one check; each must name its family when
+# bipartiteness reads the wrong way.
+ORIENTABILITY_CASES = [
+    ("standard_sphere", lambda: standard_sphere(3)),
+    ("lens_gem(3,1,2)", lambda: lens_gem(3, 1, 2)),
+    ("rp2_sum_gem(2)", lambda: rp2_sum_gem(2)),
+    ("torus_sum_gem(2)", lambda: torus_sum_gem(2)),
+    ("sphere_times_circle_gem(4, twisted=True)", lambda: sphere_times_circle_gem(4, True)),
+    ("catalog[klein-6.6.6]", lambda: catalog("klein-6.6.6")),
+    ("catalog[s2-4.4.p]", lambda: catalog("s2-4.4.p", p=8)),
+]
+
+
+@pytest.mark.parametrize(
+    "family, build", ORIENTABILITY_CASES, ids=[family for family, _ in ORIENTABILITY_CASES]
+)
+def test_every_builder_checks_orientability(monkeypatch, family, build):
+    monkeypatch.setattr(generators, "_cache", {})
+    monkeypatch.setattr(generators, "is_bipartite", lambda g: not is_bipartite(g))
+    with pytest.raises(
+        FamilyValidationError, match="^" + re.escape(family) + ": orientability mismatch"
+    ):
+        build()
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

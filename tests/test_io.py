@@ -63,6 +63,8 @@ def test_text_errors():
         io.from_text("1 2\n0 1 0\n")  # color 1 missing entirely
     with pytest.raises(ValueError):
         io.from_text("1 2\n0 1 0\n0 9 1\n")  # vertex out of range
+    with pytest.raises(ValueError, match=r"edge line '0 0 0' is a loop at vertex 0"):
+        io.from_text("1 2\n0 0 0\n0 1 1\n")
 
 
 def test_text_header_checked_before_allocating():
