@@ -16,8 +16,8 @@ transposed map, every unit pivot is eliminated on those sparse rows, and
 the few rows left are reduced in place by gcd steps on least entries.
 The manifold check recurses through the residues on all colors but one,
 certifying each residue component once per call.  A component of regular
-genus 0 is a sphere (Ferri & Gagliardi); only one of positive genus has
-its own residues certified and its homology compared with the sphere's.
+genus 0 (the arrangement search's first hit) is a sphere (Ferri &
+Gagliardi); any other has its residues certified and homology compared.
 """
 
 from __future__ import annotations
@@ -311,12 +311,9 @@ class HomologyProfile:
         )
 
 
-def homology_of_complex(k: PseudoComplex) -> HomologyProfile:
-    """Integral homology H_0 .. H_d of the complex, d its dimension.
-
-    Raises no error: ``build_complex`` already raised ``NotConnectedError``
-    for a disconnected graph.
-    """
+def homology(g: ColoredGraph) -> HomologyProfile:
+    """Integral homology H_0 .. H_d of the space the graph encodes."""
+    k = build_complex(g)
     f = k.f_vector
     factors: list[list[int]] = [[]]
     for h in range(1, len(k.columns)):
@@ -330,11 +327,6 @@ def homology_of_complex(k: PseudoComplex) -> HomologyProfile:
         (f[i] - len(factors[i]) - len(out), tuple(e for e in out if e > 1))
         for i, out in enumerate(factors[1:])
     ))
-
-
-def homology(g: ColoredGraph) -> HomologyProfile:
-    """Integral homology of the space the graph encodes."""
-    return homology_of_complex(build_complex(g))
 
 
 def sphere_profile(m: int) -> HomologyProfile:
@@ -430,17 +422,13 @@ def _residue_failure(
 ) -> Optional[str]:
     """Why a residue component of a gem fails to be a sphere, or None.
 
-    A piece of regular genus 0 passes at once: a connected (m+1)-colored
-    graph with a regular embedding in the 2-sphere represents S^m (Ferri &
-    Gagliardi, "The only genus zero n-manifold is S^n", Proc. AMS 85,
-    1982).  That needs no manifold hypothesis on the piece: deleting a
-    color from a genus-0 embedding leaves its residues genus 0, so by
-    induction they are spheres and the piece is a closed manifold.  A
-    sphere passes the test below as well, so neither the verdict nor the
-    first failure reported depends on this shortcut.
-
-    Otherwise a surface, whose genus is its only arrangement's, is not a
-    sphere.  From m = 3 up the piece's own residues are certified first,
+    A piece of regular genus 0 passes at once: it represents S^m (Ferri &
+    Gagliardi, "The only genus zero n-manifold is S^n", Proc. AMS 85, 1982)
+    with no manifold hypothesis: its residues have genus 0 too, so they are
+    spheres by induction.  ``_genus_zero`` stops the arrangement search at
+    its first sphere.  A sphere passes the tests below too, so the verdict
+    and the first failure do not depend on this.  Otherwise a surface is
+    not a sphere; from m = 3 up the piece's own residues are certified,
     then its homology is compared with the m-sphere's.
     """
     m = piece.dimension

@@ -4,10 +4,10 @@ Every cyclic arrangement of the colors determines a surface into which a
 connected (d+1)-colored graph embeds so that each face is bounded by a
 cycle alternating two cyclically consecutive colors.  This module computes
 the Euler characteristic and genus of those surfaces, the face-cycle type
-seen at each vertex, and detects when all vertices see the same type.
-
-Arithmetic is exact throughout: the genus is kept as a doubled integer so
-no fractional type ever enters a computation.
+seen at each vertex, and detects when all vertices see the same type.  The
+least genus, and whether it is 0, comes from one depth-first search over
+cyclic orders that cuts a prefix by a bound on the faces still open.
+Arithmetic is exact: the genus is kept as a doubled integer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import (
     ColoredGraph,
@@ -81,27 +81,18 @@ def all_cyclic_permutations(d: int) -> list[CyclicPermutation]:
 
 
 @functools.lru_cache(maxsize=None)
-def _arrangements(
-    d: int,
-) -> tuple[tuple[CyclicPermutation, tuple[tuple[int, int], ...]], ...]:
+def _arrangements(d: int) -> tuple[tuple[CyclicPermutation, tuple[tuple[int, int], ...]], ...]:
     """``all_cyclic_permutations(d)`` with their ``pairs()``, built once per d.
 
     The pair tuples are shared, one per ordered color pair, so each
     arrangement adds only a tuple of d + 1 references to the cache.
     """
-    out = [CyclicPermutation(t) for t in _cyclic_orders(d)]
+    # permutations() yields them sorted; the ends differ unless d = 1,
+    # whose one arrangement (0, 1) the ``<=`` keeps.
+    rests = itertools.permutations(range(1, d + 1))
+    out = [CyclicPermutation((0,) + r) for r in rests if r[0] <= r[-1]]
     shared = {p: p for p in itertools.permutations(range(d + 1), 2)}
     return tuple((eps, tuple(map(shared.get, eps.pairs()))) for eps in out)
-
-
-def _cyclic_orders(d: int) -> Iterator[tuple[int, ...]]:
-    """``all_cyclic_permutations(d)`` as plain tuples, generated in order.
-
-    permutations() yields ``rest`` sorted; its ends differ unless d = 1,
-    whose one arrangement (0, 1) the ``<=`` keeps.
-    """
-    rests = itertools.permutations(range(1, d + 1))
-    return ((0,) + rest for rest in rests if rest[0] <= rest[-1])
 
 
 def _canonical_cyclic(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -208,37 +199,55 @@ def regular_genus(g: ColoredGraph) -> RegularGenus:
     """Minimize the embedding genus over all canonical arrangements."""
     if not g.is_connected():
         raise NotConnectedError("regular genus needs a connected graph")
-    gvals = _g_values(_pair_table(g))
-    base = 2 - (1 - g.dimension) * g.vertex_count // 2
-    rho2 = {
-        eps: base - sum(map(gvals.__getitem__, pairs))
-        for eps, pairs in _arrangements(g.dimension)
-    }
-    best = min(rho2.values())
-    winners = tuple(eps for eps, r2 in rho2.items() if r2 == best)
-    return RegularGenus(best, winners, is_bipartite(g))
+    faces, orders = _most_faces(g, 0, first=False)
+    rho2 = 2 - (1 - g.dimension) * g.vertex_count // 2 - faces
+    return RegularGenus(rho2, tuple(map(CyclicPermutation, orders)), is_bipartite(g))
 
 
 def _genus_zero(g: ColoredGraph) -> bool:
-    """Whether some arrangement embeds the connected graph ``g`` in the sphere.
+    """Whether some arrangement embeds the connected graph ``g`` in the sphere."""
+    return bool(_most_faces(g, 2 - (1 - g.dimension) * g.vertex_count // 2, True)[1])
 
-    The same test as ``regular_genus(g).rho_times_2 == 0``, as one early-exit
-    scan: chi = 2 needs the g-values of an arrangement's d + 1 pairs to sum
-    to ``need``.  Each color lies on exactly two consecutive pairs, so that
-    sum is half a sum over colors of two of each color's pairs, and a graph
-    whose colors' two largest pair g-values sum to less than 2 ``need`` has
-    positive genus.  Otherwise the arrangements are generated in
-    ``_arrangements``' order, none of them cached, until one has chi = 2.
+
+def _most_faces(g: ColoredGraph, best: int, first: bool) -> tuple[int, list[tuple[int, ...]]]:
+    """The most faces of any arrangement, if at least ``best``, with every
+    order that has them in ``all_cyclic_permutations`` order (or the first).
+
+    An order's faces are its pairs' g-values summed; chi = faces + (1-d)n/2.
+    Prefixes (0, x, ...) grow depth first, least x first; second < last is
+    checked at the leaf.  An unplaced color lies on two open pairs, color 0
+    and the last color on one each: a prefix whose open pairs cannot reach
+    ``best`` by those colors' largest g-values is cut, and a tie is kept.
     """
     gvals = _g_values(_pair_table(g))
-    need = 2 - (1 - g.dimension) * g.vertex_count // 2
-    tops = (sorted(gvals[c, x] for x in g.colors if x != c)[-2:] for c in g.colors)
-    if sum(map(sum, tops)) < 2 * need:
-        return False
-    return any(
-        sum(gvals[t[i - 1], t[i]] for i in range(len(t))) == need
-        for t in _cyclic_orders(g.dimension)
-    )
+    colors = g.colors
+    # Largest first, doubled: at d = 1 both pairs of a color are one pair.
+    rows = [sorted((gvals[c, x] for x in colors if x != c), reverse=True) * 2 for c in colors]
+    top, two = [r[0] for r in rows], [r[0] + r[1] for r in rows]
+    found: list[tuple[int, ...]] = []
+    # Entries: prefix, faces on its pairs, ``two`` summed over unplaced colors, those.
+    stack = [((0,), 0, sum(two) - two[0], tuple(colors[1:]))] if sum(two) >= 2 * best else []
+    while stack:
+        t, s, rest, left = stack.pop()
+        a = t[-1]
+        if len(left) > 1:
+            for i in reversed(range(len(left))):
+                x = left[i]
+                sx, rx = s + gvals[a, x], rest - two[x]
+                if 2 * sx + rx + top[0] + top[x] >= 2 * best:
+                    stack.append((t + (x,), sx, rx, left[:i] + left[i + 1 :]))
+            continue
+        x = left[0]
+        if len(t) > 1 and x < t[1]:  # d = 1's one order (0, 1) has no t[1]
+            continue
+        s += gvals[a, x] + gvals[x, 0]
+        if s > best:
+            best, found = s, []
+        if s == best:
+            found.append(t + (x,))
+            if first:
+                break
+    return best, found
 
 
 def face_cycle_type(

@@ -43,8 +43,8 @@ hit of every color-fixed class among the graphs the search covers;
 without the normal form they are a subsequence of the hits of the same
 search without the two rules, so deduplication returns the same
 representatives.  Results are deduplicated by exact canonical forms under
-color permutation; an empty result therefore means a completed search,
-never a truncated one.
+color permutation, taken of each color-fixed class's first hit; an empty
+result therefore means a completed search, never a truncated one.
 """
 
 from __future__ import annotations
@@ -752,12 +752,21 @@ def _run_search(
     return hits, True
 
 
-def _dedup_canonical(hits: Iterable[ColoredGraph]) -> list[ColoredGraph]:
+def _dedup_canonical(
+    hits: Iterable[ColoredGraph], fixed: Optional[dict[bytes, ColoredGraph]] = None
+) -> list[ColoredGraph]:
+    """The first hit of every color-permuting class, sorted by its form.
+
+    Such a hit is the first of one of its color-fixed classes, so only those
+    firsts, collected in ``fixed``, need the dearer color-permuting form.
+    """
+    fixed = {} if fixed is None else fixed
     by_form: dict[bytes, ColoredGraph] = {}
     for g in hits:
-        form = canonical_form(g, "color-permuting")
-        if form not in by_form:
-            by_form[form] = g
+        key = canonical_form(g, "color-fixed")
+        if key not in fixed:
+            fixed[key] = g
+            by_form.setdefault(canonical_form(g, "color-permuting"), g)
     return [by_form[k] for k in sorted(by_form)]
 
 
@@ -965,15 +974,8 @@ def classify_4_4(order_max: int = 8, order_budget: int = 16) -> Classify44Report
         hits, done = _run_search(spec)
         raw.extend(hits)
         exhaustive = exhaustive and done
-    # Color-fixed isomorphic hits are color-permuting isomorphic too, and
-    # the first hit of a color-permuting class is the first hit of one of
-    # its color-fixed classes, so only those firsts need the (about four
-    # times dearer) color-permuting form.  The classes are unchanged.
     firsts: dict[bytes, ColoredGraph] = {}
-    for g in raw:
-        firsts.setdefault(canonical_form(g, "color-fixed"), g)
-    classes = _dedup_canonical(firsts.values())
-    count_fixed = len(firsts)
+    classes = _dedup_canonical(raw, firsts)
 
     entries = []
     for g in classes:
@@ -991,5 +993,5 @@ def classify_4_4(order_max: int = 8, order_budget: int = 16) -> Classify44Report
         )
     entries.sort(key=lambda e: e.order)  # stable: classes are in canonical order
     return Classify44Report(
-        order_max, exhaustive, tuple(entries), len(classes), count_fixed
+        order_max, exhaustive, tuple(entries), len(classes), len(firsts)
     )

@@ -428,3 +428,15 @@ def oracle_regular_genus(g: ColoredGraph):
             winners.append(eps)
     assert best is not None
     return RegularGenus(best, tuple(winners), is_bipartite(g))
+
+
+def reference_dedup_canonical(hits) -> list[ColoredGraph]:
+    """One graph per color-permuting class, the first hit of each, sorted by
+    canonical form: every hit is keyed by its color-permuting form alone.
+    """
+    from gemkit.core import canonical_form
+
+    by_form = {}
+    for g in hits:
+        by_form.setdefault(canonical_form(g, "color-permuting"), g)
+    return [by_form[k] for k in sorted(by_form)]

@@ -444,6 +444,25 @@ def test_genus_zero_matches_regular_genus():
     assert 0 < zero < len(gems)
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+def test_genus_zero_matches_the_per_arrangement_reference(d):
+    # The search's bound must hold at d = 1 too, where both pairs of the
+    # one arrangement (0, 1) join the same two colors.
+    r = random.Random(2600 + d)
+    gems = [random_gem(r, d, 2 * r.randint(1, 4 if d < 7 else 3)) for _ in range(12)]
+    if d == 1:
+        gems.append(ColoredGraph([[1, 0], [1, 0]]))
+    for g in gems:
+        assert embedding._genus_zero(g) == (oracle_regular_genus(g).rho_times_2 == 0)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_sphere_genus_keeps_every_tie_in_order(d):
+    # Every arrangement of the standard sphere has chi = 2, so the search
+    # cuts nothing and must return all of them in their order.
+    assert regular_genus(standard_sphere(d)).witnesses == tuple(all_cyclic_permutations(d))
+
+
 def test_report_matches_reference_on_relabeled_uniform_gems():
     # These gems have arrangements where every vertex sees one signature, so
     # the uniformity test compares all vertices; random gems almost never do.

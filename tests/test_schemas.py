@@ -2,13 +2,14 @@
 
 import json
 
-import jsonschema
 import pytest
 
 from gemkit import cli, io
 from gemkit.embedding import semi_equivelar_report
 from gemkit.generators import lens_gem, sphere_times_circle_gem
 from gemkit.search import SearchSpec, classify_4_4, search_report
+
+jsonschema = pytest.importorskip("jsonschema")
 
 GEM_SCHEMA = {
     "type": "object",

@@ -36,6 +36,7 @@ from helpers import (
     oracle_component_count,
     oracle_components,
     oracle_is_bipartite,
+    reference_dedup_canonical,
     stored_hit_list,
     standard_matching,
 )
@@ -449,6 +450,25 @@ def _base_rule_hits(spec, count, digest):
 def test_vertex_0_start_hit_lists_pinned(spec, count, digest, classes):
     hits = _base_rule_hits(spec, count, digest)
     assert len(search._dedup_canonical(hits)) == classes
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec, *_ in PINNED_HIT_LISTS + PINNED_BIPARTITE_HIT_LISTS],
+    ids=[_spec_id(spec) for spec, *_ in PINNED_HIT_LISTS + PINNED_BIPARTITE_HIT_LISTS],
+)
+def test_dedup_matches_the_one_stage_reference(spec):
+    # Keying by color-fixed form first must keep the same representative of
+    # every color-permuting class, in any hit order.
+    hits = [ColoredGraph(h) for h in stored_hit_list(spec)]
+    r = random.Random(26)
+    for order in [hits] + [r.sample(hits, len(hits)) for _ in range(2)]:
+        fixed = {}
+        got = search._dedup_canonical(order, fixed)
+        assert [g.matchings for g in got] == [
+            g.matchings for g in reference_dedup_canonical(order)
+        ]
+        assert len(fixed) == len(_fixed_classes(order))
 
 
 def test_4_4_6_6_hit_list_keeps_the_first_hits():
