@@ -258,6 +258,7 @@ def face_cycle_type(
     f_i is the number of vertices on the bicolored cycle through the vertex
     that alternates the i-th consecutive color pair of the arrangement.
     """
+    _require_gem_input(g, eps)
     if not 0 <= vertex < g.vertex_count:
         raise ValueError(f"vertex {vertex} out of range")
     return tuple(col[vertex] for col in _face_lengths(g, eps))

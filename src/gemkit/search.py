@@ -260,7 +260,7 @@ class SearchSpec:
                         raise ValueError("cycle lengths must be even and >= 2")
                 norm.append(((a, b), ls))
             norm.sort()
-            object.__setattr__(self, "pair_lengths", tuple(norm))
+            object.__setattr__(self, "pair_lengths", tuple(norm) or None)
 
     @classmethod
     def from_json_dict(cls, data: object) -> "SearchSpec":
@@ -453,8 +453,7 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     end therefore has no leaf, and is cut.  Rooms are taken when the pair
     opens and only fall as paths merge (set and undone with ``plen``);
     cycles closed later in the color would lower them further, so they
-    stay sound bounds.  A pair whose rooms all equal its longest length
-    keeps only the ``maxlen`` test.
+    stay sound bounds.  An untracked pair's room is its longest length.
 
     The seal cut: at the last color, an edge uv that closes a component
     of fewer than n vertices with no vertex left free in the last color
@@ -496,12 +495,12 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     free_desc = sorted(set(spec.vertex_types or ()), reverse=True)
     everything = frozenset(range(2, n + 1, 2))
 
-    def count_closed(u: int, v: int, m: list[int], tracks: list) -> Optional[list]:
+    def count_closed(u: int, v: int, m: list[int], states: list) -> Optional[list]:
         """Count the tracked cycles that edge uv of m closes; None on overflow."""
         counted = []
         over = False
-        for end, mj in tracks:
-            if end[u] != v:
+        for end, _, _, _, mj in states:
+            if mj is None or end[u] != v:
                 continue
             # the cycle is the path u ... v of colors j and c, plus uv
             cycle = []
@@ -555,14 +554,13 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
         return 0
 
     def open_color(c: int) -> tuple:
-        """Color c's empty matching, path states, tracked pairs and components.
+        """Color c's empty matching, path states and components.
 
-        A path state of pair (j, c) is (end, plen, lens, maxlen, room):
-        ``end`` pairs the two ends of each path, ``plen`` holds its edge
-        count at both ends, and for a tracked pair ``room`` holds at both
-        ends the least ``free_room`` over the path's vertices.  ``room`` is
-        None where no vertex's room is below ``maxlen``: there it cannot
-        cut more than ``maxlen`` does.
+        A path state of pair (j, c) is (end, plen, lens, room, mj): ``end``
+        pairs the two ends of each path; ``plen`` holds its edge count and
+        ``room`` its longest allowed length at both ends.  A tracked pair's
+        room is the least ``free_room`` over the path and its ``mj`` is color
+        j's matching; another pair's room is its longest length, ``mj`` None.
 
         For colors 1 and 2 the components of colors 0..c-1 (blocks, then
         alternating cycles) are numbered by least vertex: ``comp[v]`` is
@@ -573,22 +571,17 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
         m = [-1] * n
         mats[c:] = [m]
         states = []
-        tracks = []
         for j in range(c):
             lens = allowed.get((j, c))
-            track = (j, c) in tracked
-            if lens is not None or track:
+            mj = mats[j] if (j, c) in tracked else None
+            if lens is not None or mj is not None:
                 lens = everything if lens is None else lens
-                end, top, room = list(mats[j]), max(lens), None
-                if track:
-                    tracks.append((end, mats[j]))
-                    r = [free_room(v, top) for v in range(n)]
-                    room = [min(r[v], r[w]) for v, w in enumerate(mats[j])]
-                    if min(room) >= top:
-                        room = None
-                states.append((end, [1] * n, lens, top, room))
+                top = max(lens)
+                r = [top] * n if mj is None else [free_room(v, top) for v in range(n)]
+                room = [min(r[v], r[w]) for v, w in enumerate(mats[j])]
+                states.append((list(mats[j]), [1] * n, lens, room, mj))
         if c > 2:
-            return c, m, states, tracks, [0] * n, [n], [0], [1]
+            return c, m, states, [0] * n, [n], [0], [1]
         comp = [-1] * n
         comp_size: list[int] = []
         least: list[int] = []
@@ -601,7 +594,7 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
                     comp[w] = k
                     comp_size[k] += 1
                     w, j = mats[j][w], (j + 1) % c
-        return c, m, states, tracks, comp, comp_size, least, [0] * len(comp_size)
+        return c, m, states, comp, comp_size, least, [0] * len(comp_size)
 
     last = num_colors - 1
     bases: set[tuple] = set()  # keys of the completions opened so far
@@ -609,14 +602,13 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     frames: list[tuple] = [(u, u + 1 - step, open_color(1), (), ())]
     while frames:
         u, v, color, merged, counted = frames[-1]
-        c, m, states, tracks, comp, comp_size, least, touched = color
+        c, m, states, comp, comp_size, least, touched = color
         ku = comp[u]
         if m[u] >= 0:  # undo the edge uv this frame placed
             for end, plen, room, a, b in merged:
                 end[a], end[b] = u, v
                 plen[a], plen[b] = plen[u], plen[v]
-                if room is not None:
-                    room[a], room[b] = room[u], room[v]
+                room[a], room[b] = room[u], room[v]
             m[u] = m[v] = -1
             touched[ku] -= 1
             touched[comp[v]] -= 1
@@ -635,17 +627,15 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
             ):
                 continue  # not the orbit's least vertex
             closes = 0
-            for end, plen, lens, maxlen, room in states:
+            for end, plen, lens, room, _ in states:
                 if end[u] == v:
                     if plen[u] + 1 not in lens:
                         break
                     closes += 1
-                elif (verts := plen[u] + plen[v] + 2) > maxlen or room is not None and (
-                    verts > room[u] or verts > room[v]
-                ):
+                elif (verts := plen[u] + plen[v] + 2) > room[u] or verts > room[v]:
                     break
             else:  # no path cut: try the vertex-type cut, then the seal cut
-                counted = count_closed(u, v, m, tracks) if closes and tracks else ()
+                counted = count_closed(u, v, m, states) if closes and tracked else ()
                 if counted is None:
                     continue
                 if c == last and closes == len(states) and m.count(-1) > 2 and seals(u, v, m):
@@ -659,13 +649,12 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
         touched[ku] += 1
         touched[comp[v]] += 1
         merged = []
-        for end, plen, lens, maxlen, room in states:
+        for end, plen, _, room, _ in states:
             if end[u] != v:
                 a, b = end[u], end[v]
                 end[a], end[b] = b, a
                 plen[a] = plen[b] = plen[u] + plen[v] + 1
-                if room is not None:
-                    room[a] = room[b] = room[u] if room[u] < room[v] else room[v]
+                room[a] = room[b] = room[u] if room[u] < room[v] else room[v]
                 merged.append((end, plen, room, a, b))
         frames[-1] = (u, v, color, merged, counted)
         if -1 in m:

@@ -192,6 +192,19 @@ def test_face_cycle_type_vertex_range():
         face_cycle_type(standard_sphere(2), EPS3, 5)
 
 
+@pytest.mark.parametrize("size", [3, 5])
+def test_face_cycle_type_rejects_an_arrangement_of_another_size(size):
+    # A 4-color gem: 3 colors used to give the wrong (4, 4, 6), 5 an IndexError.
+    eps = CyclicPermutation(tuple(range(size)))
+    with pytest.raises(ValueError, match="does not match dimension 3"):
+        face_cycle_type(lens_gem(3, 1, 2), eps, 0)
+
+
+def test_face_cycle_type_rejects_disconnected():
+    with pytest.raises(NotConnectedError):
+        face_cycle_type(ColoredGraph([[1, 0, 3, 2]] * 3), EPS3, 0)
+
+
 # -- type signatures --------------------------------------------------------
 
 

@@ -175,9 +175,13 @@ def test_spec_json_round_trip():
         bipartite="none",
         chi=1,
     )
-    again = SearchSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
-    assert again == spec
-    assert again.vertex_types == (4, 6, 6)
+    # An empty pair_lengths map is no constraint: stored, written and read as None.
+    empty = SearchSpec(colors=3, order=8, pair_lengths={})
+    for s in (spec, empty):
+        assert SearchSpec.from_json_dict(json.loads(json.dumps(s.to_json_dict()))) == s
+    assert SearchSpec.from_json_dict(spec.to_json_dict()).vertex_types == (4, 6, 6)
+    assert empty.pair_lengths is None
+    assert SearchSpec.from_json_dict({"colors": 3, "order": 8, "pair_lengths": {}}) == empty
 
 
 @pytest.mark.parametrize("vertex_types", [0, False, "", {}, []])
@@ -697,31 +701,67 @@ def _oracle_vertex_types(g, pairs):
     return [tuple(sorted(col)) for col in zip(*face)]
 
 
+def _oracle_pair_lengths(g, pairs):
+    """The set of cycle lengths of each color pair in ``pairs``, from component sizes."""
+    return {pair: {len(comp) for comp in oracle_components(g, pair)} for pair in pairs}
+
+
+def _meets_pair_lengths(lengths, pair_lengths):
+    """Whether the per-pair cycle lengths ``lengths`` all lie in ``pair_lengths``."""
+    return all(lengths[pair] <= set(ls) for pair, ls in (pair_lengths or {}).items())
+
+
 def _three_color_oracle_specs(n):
-    """(vertex type, policy, spec) for every spec of the 3-color brute force at order n."""
+    """(vertex type, policy, pair lengths, spec) for every spec of the 3-color brute force.
+
+    Each vertex type comes alone and with its least length imposed on pair
+    (0, 1), whose tracked path state is then narrower than the type.
+    """
     for vt in itertools.combinations_with_replacement(range(2, n + 1, 2), 3):
-        for policy in ("any", "only", "none"):
-            bigons = "include" if 2 in vt else "exclude"
-            yield vt, policy, SearchSpec(colors=3, order=n, vertex_types=vt, bipartite=policy, bigons=bigons)
+        for pl in (None, {(0, 1): vt[:1]}):
+            for policy in ("any", "only", "none"):
+                bigons = "include" if 2 in vt else "exclude"
+                spec = SearchSpec(
+                    colors=3, order=n, pair_lengths=pl, vertex_types=vt, bipartite=policy, bigons=bigons
+                )
+                yield vt, policy, pl, spec
+
+
+# Pair lengths of the 4-color brute force.  Pairs (0, 2) and (1, 3) are not
+# consecutive: with a vertex type, colors 2 and 3 then hold an untracked
+# constrained path state beside their tracked ones.  (0, 1) narrows a
+# tracked pair.
+FOUR_COLOR_PAIR_LENGTHS = (
+    None,
+    {(0, 2): (2,)},
+    {(0, 2): (4,)},
+    {(0, 2): (6,)},
+    {(1, 3): (4, 6)},
+    {(0, 2): (2, 6), (1, 3): (2,)},
+    {(0, 1): (4,)},
+)
 
 
 def _four_color_oracle_specs(n=6):
-    """(vertex type, bigons, policy, spec) for every spec of the 4-color brute force."""
-    for vt in [None, *itertools.combinations_with_replacement(range(2, n + 1, 2), 4)]:
-        for bigons in ("include", "exclude"):
-            for policy in ("any", "only", "none"):
-                spec = SearchSpec(colors=4, order=n, vertex_types=vt, bipartite=policy, bigons=bigons)
-                yield vt, bigons, policy, spec
+    """(vertex type, bigons, policy, pair lengths, spec) for every spec of the 4-color brute force."""
+    for pl in FOUR_COLOR_PAIR_LENGTHS:
+        for vt in [None, *itertools.combinations_with_replacement(range(2, n + 1, 2), 4)]:
+            for bigons in ("include", "exclude"):
+                for policy in ("any", "only", "none"):
+                    spec = SearchSpec(
+                        colors=4, order=n, pair_lengths=pl, vertex_types=vt, bipartite=policy, bigons=bigons
+                    )
+                    yield vt, bigons, policy, pl, spec
 
 
 def test_vertex_type_search_matches_brute_force():
-    # Every 3-colored graph of order <= 8 over the fixed first matching,
-    # sorted by the face multiset its vertices share (if they share one)
-    # and by bipartiteness, with face lengths taken from component sizes,
-    # bipartiteness from a BFS 2-colouring and classes from the unpruned
-    # canonical labeling in both color modes.  The raw hits must meet every
-    # class the brute force finds and no other: the DFS's orbit rules keep a
-    # representative of each color-fixed class.
+    # Every 3-colored graph of order <= 8 over the fixed first matching
+    # whose vertices share one face multiset, with face and pair (0, 1)
+    # cycle lengths taken from component sizes, bipartiteness from a BFS
+    # 2-colouring and classes from the unpruned canonical labeling in both
+    # color modes.  The raw hits must meet every class the brute force finds
+    # and no other: the DFS's orbit rules keep a representative of each
+    # color-fixed class.
     from gemkit.core import ColoredGraph
 
     modes = ("color-fixed", "color-permuting")
@@ -730,8 +770,7 @@ def test_vertex_type_search_matches_brute_force():
         return tuple(oracle_canonical_labeling(g, mode)[0] for mode in modes)
 
     for n in (4, 6, 8):
-        classes: dict[tuple[int, ...], set] = {}
-        bipartite: dict[tuple[int, ...], set] = {}
+        graphs = []  # (forms, bipartite, vertex type, pair (0, 1)'s cycle lengths)
         matchings = all_perfect_matchings(n)
         for m1, m2 in itertools.product(matchings, repeat=2):
             try:
@@ -742,37 +781,42 @@ def test_vertex_type_search_matches_brute_force():
                 continue
             types = set(_oracle_vertex_types(g, ((0, 1), (1, 2), (0, 2))))
             if len(types) == 1:
-                vt = types.pop()
-                classes.setdefault(vt, set()).add(forms(g))
-                if oracle_is_bipartite(g):
-                    bipartite.setdefault(vt, set()).add(forms(g))
-        for vt, policy, spec in _three_color_oracle_specs(n):
-            every = classes.get(vt, set())
-            only = bipartite.get(vt, set())
-            want = {"any": every, "only": only, "none": every - only}[policy]
+                lengths = _oracle_pair_lengths(g, ((0, 1),))
+                graphs.append((forms(g), oracle_is_bipartite(g), types.pop(), lengths))
+        for vt, policy, pl, spec in _three_color_oracle_specs(n):
+            want = {
+                f
+                for f, bip, t, lengths in graphs
+                if t == vt
+                and policy != ("none" if bip else "only")
+                and _meets_pair_lengths(lengths, pl)
+            }
             hits, exhaustive = search._run_search(spec)
             assert exhaustive
             got = {forms(g) for g in hits}
             for i, mode in enumerate(modes):
-                assert {f[i] for f in got} == {f[i] for f in want}, (n, vt, policy, mode)
-            assert len(find_gems(spec)) == len({f[1] for f in want}), (n, vt, policy)
+                assert {f[i] for f in got} == {f[i] for f in want}, (n, vt, policy, pl, mode)
+            assert len(find_gems(spec)) == len({f[1] for f in want}), (n, vt, policy, pl)
 
 
 def test_four_color_search_matches_brute_force():
     # Every 4-colored graph of order 6 over the fixed first matching, all
     # 15**3 of them, with face lengths taken from component sizes over the
-    # identity arrangement's pairs (01, 12, 23, 03), bipartiteness from a
-    # BFS 2-colouring and classes from the unpruned canonical labeling.
-    # The raw hits of every vertex type (and of none), bipartite policy and
-    # bigon policy must meet every class the brute force finds and no
-    # other.  Here the DFS skips color-1 and color-2 completions isomorphic
-    # to earlier ones: unconstrained with bigons, 221 raw hits ("only": 56)
-    # where it kept 479 (104) before.
+    # identity arrangement's pairs (01, 12, 23, 03) and over the pairs
+    # FOUR_COLOR_PAIR_LENGTHS constrains, bipartiteness from a BFS
+    # 2-colouring and classes from the unpruned canonical labeling, all
+    # computed once per graph.  The raw hits of every vertex type (and of
+    # none), bipartite policy, bigon policy and pair lengths must meet
+    # every class the brute force finds and no other.  Here the DFS skips
+    # color-1 and color-2 completions isomorphic to earlier ones:
+    # unconstrained with bigons, 221 raw hits ("only": 56) where it kept
+    # 479 (104) before.
     n = 6
     pairs = ((0, 1), (1, 2), (2, 3), (0, 3))
+    constrained = sorted({pair for pl in FOUR_COLOR_PAIR_LENGTHS for pair in pl or ()})
     permuting: dict[tuple, tuple] = {}  # color-fixed form -> color-permuting form
     forms: dict[tuple, tuple] = {}  # matchings -> both forms
-    graphs = []  # (forms, bipartite, vertex type or None, has a bigon face)
+    graphs = []  # (forms, bipartite, vertex type or None, has a bigon face, pair lengths)
     matchings = all_perfect_matchings(n)
     for rest in itertools.product(matchings, repeat=3):
         g = ColoredGraph([standard_matching(n), *rest])
@@ -785,22 +829,24 @@ def test_four_color_search_matches_brute_force():
         types = set(_oracle_vertex_types(g, pairs))
         bigon = any(2 in t for t in types)
         vt = types.pop() if len(types) == 1 else None
-        graphs.append((f, oracle_is_bipartite(g), vt, bigon))
+        graphs.append((f, oracle_is_bipartite(g), vt, bigon, _oracle_pair_lengths(g, constrained)))
     raw = {}
-    for vt, bigons, policy, spec in _four_color_oracle_specs(n):
+    for vt, bigons, policy, pl, spec in _four_color_oracle_specs(n):
         want = {
             f
-            for f, bip, t, bigon in graphs
+            for f, bip, t, bigon, lengths in graphs
             if (vt is None or t == vt)
             and (bigons == "include" or not bigon)
             and policy != ("none" if bip else "only")
+            and _meets_pair_lengths(lengths, pl)
         }
         hits, exhaustive = search._run_search(spec)
         assert exhaustive
         got = {forms[g.matchings] for g in hits}
         for i, mode in enumerate(("color-fixed", "color-permuting")):
-            assert {f[i] for f in got} == {f[i] for f in want}, (vt, bigons, policy, mode)
-        raw[vt, bigons, policy] = len(hits)
+            assert {f[i] for f in got} == {f[i] for f in want}, (vt, bigons, policy, pl, mode)
+        if pl is None:
+            raw[vt, bigons, policy] = len(hits)
     assert (raw[None, "include", "any"], raw[None, "include", "only"]) == (221, 56)
 
 
