@@ -50,8 +50,7 @@ class CyclicPermutation:
     @classmethod
     def from_sequence(cls, seq: Iterable[int]) -> "CyclicPermutation":
         """Canonicalize an arbitrary cyclic arrangement."""
-        t = tuple(seq)
-        return cls(_canonical_cyclic(t) if t else t)
+        return cls(_canonical_cyclic(tuple(seq)))
 
     def __iter__(self):
         return iter(self.order)
@@ -97,6 +96,8 @@ def _arrangements(d: int) -> tuple[tuple[CyclicPermutation, tuple[tuple[int, int
 
 def _canonical_cyclic(t: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least representative under rotation and reflection."""
+    if not t:
+        return t
     k = len(t)
     rev = tuple(reversed(t))
     return min(
@@ -117,6 +118,8 @@ class TypeSignature:
     faces: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not self.faces:
+            raise ValueError("a signature needs at least one face")
         for f in self.faces:
             if f < 2 or f % 2:
                 raise ValueError(f"face lengths must be even and >= 2, got {f}")

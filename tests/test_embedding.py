@@ -230,6 +230,9 @@ def test_signature_validation():
         TypeSignature.from_tuple((3, 4, 5))
     with pytest.raises(ValueError):
         TypeSignature((6, 4, 6))  # not canonical
+    for build in (TypeSignature, TypeSignature.from_tuple):
+        with pytest.raises(ValueError, match="at least one face"):
+            build(())
 
 
 # -- semi-equivelar detection ------------------------------------------------

@@ -1,6 +1,7 @@
 import re
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from gemkit.embedding import (
     regular_genus,
     semi_equivelar_type,
 )
-from gemkit.complexes import homology, manifold_check, sphere_profile
+from gemkit.complexes import FAILED, ManifoldVerdict, homology, manifold_check, sphere_profile
 from gemkit import generators
 from gemkit.search import SearchSpec, first_gem
 from gemkit.generators import (
@@ -248,6 +249,76 @@ def test_every_builder_checks_orientability(monkeypatch, family, build):
         FamilyValidationError, match="^" + re.escape(family) + ": orientability mismatch"
     ):
         build()
+
+
+# The builders that declare H1 must also run the manifold check.
+MANIFOLD_CHECK_CASES = [
+    ("lens_gem(3,1,2)", lambda: lens_gem(3, 1, 2)),
+    ("sphere_times_circle_gem(4, twisted=False)", lambda: sphere_times_circle_gem(4)),
+    ("torus_sum_gem(2)", lambda: torus_sum_gem(2)),
+    ("catalog[klein-6.6.6]", lambda: catalog("klein-6.6.6")),
+]
+
+
+def _failing_manifold_check(monkeypatch):
+    monkeypatch.setattr(generators, "_cache", {})
+    monkeypatch.setattr(
+        generators, "manifold_check", lambda g: ManifoldVerdict(FAILED, "stub")
+    )
+
+
+@pytest.mark.parametrize(
+    "family, build", MANIFOLD_CHECK_CASES, ids=[family for family, _ in MANIFOLD_CHECK_CASES]
+)
+def test_builders_declaring_h1_run_the_manifold_check(monkeypatch, family, build):
+    _failing_manifold_check(monkeypatch)
+    with pytest.raises(
+        FamilyValidationError, match="^" + re.escape(family) + ": manifold check failed: stub$"
+    ):
+        build()
+
+
+def test_builders_declaring_no_h1_skip_the_manifold_check(monkeypatch):
+    _failing_manifold_check(monkeypatch)
+    assert standard_sphere(3).vertex_count == 2
+    assert lens_gem(6, 2, 2).vertex_count == 24
+
+
+# Every gem a builder validates, with the Euler characteristic its family
+# claims; the parametric catalog entries at their default p and one other.
+_OTHER_P = {"rp2-4.4.2p": 6, "s2-4.4.p": 8}
+CHI_CASES = [
+    *((f"sphere-{d}", lambda d=d: standard_sphere(d), 2) for d in range(1, 7)),
+    *(
+        (f"lens-{p}-{q}-{k}", lambda p=p, q=q, k=k: lens_gem(p, q, k), 0)
+        for p, q, k in [(1, 0, 2), (3, 0, 4), (3, 1, 2), (5, 2, 2), (6, 2, 2), (4, 2, 4)]
+    ),
+    *((f"rp2-sum-{n}", lambda n=n: rp2_sum_gem(n), 2 - n) for n in range(1, 6)),
+    *((f"torus-sum-{n}", lambda n=n: torus_sum_gem(n), 2 - 2 * n) for n in range(1, 6)),
+    *(
+        (f"bundle-{d}-{t}", lambda d=d, t=t: sphere_times_circle_gem(d, t), 0)
+        for d in range(3, 7)
+        for t in (False, True)
+    ),
+    *(
+        (f"{e['name']}-p{p}", lambda name=e["name"], p=p: catalog(name, p), e["chi"])
+        for e in catalog_manifest()
+        if e["enabled"]
+        for p in ((None, _OTHER_P[e["name"]]) if e["parametric"] else (None,))
+    ),
+]
+
+
+@pytest.mark.parametrize("build, chi", [c[1:] for c in CHI_CASES], ids=[c[0] for c in CHI_CASES])
+def test_chi_follows_from_order_and_face_type(build, chi):
+    # _expect_gem checks order and identity face type but not chi: the
+    # counting identity makes chi n * sum(1/f) + (1 - d) n / 2.
+    g = build()
+    n, d = g.vertex_count, g.dimension
+    eps = CyclicPermutation(tuple(range(d + 1)))
+    faces = face_cycle_type(g, eps, 0)
+    counted = n * sum(Fraction(1, f) for f in faces) + Fraction((1 - d) * n, 2)
+    assert euler_characteristic(g, eps) == counted == chi
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
