@@ -11,9 +11,10 @@ merged from a smaller one with one union-find pass instead of walked.
 Each boundary map is kept as sparse columns, at most h+1 entries +-1 per
 h-cell; the dense matrices are only a view built on request.  Homology is
 computed by Smith normal form over exact integers, which at these sizes
-needs no modular tricks: the columns go straight in as the rows of the
-transposed map, every unit pivot is eliminated on those sparse rows, and
-the few rows left are reduced in place by gcd steps on least entries.
+needs no modular tricks: from the top dimension down, the columns go in
+as the rows of the transposed map, every unit pivot is eliminated on those
+sparse rows, the few rows left are reduced in place by gcd steps on least
+entries, and the cells of the unit pivots leave the next map down.
 The manifold check recurses through the residues on all colors but one,
 certifying each residue component once per call.  A component of regular
 genus 0 (the arrangement search's first hit) is a sphere (Ferri &
@@ -185,10 +186,10 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
         raise ValueError("rows must have equal length")
     if any(type(v) is not int for r in rows for v in r):
         raise ValueError("entries must be exact ints")
-    return _sparse_snf([{j: v for j, v in enumerate(r) if v} for r in rows], width)
+    return _sparse_snf([{j: v for j, v in enumerate(r) if v} for r in rows], width)[0]
 
 
-def _sparse_snf(sparse: list[dict[int, int]], width: int) -> list[int]:
+def _sparse_snf(sparse: list[dict[int, int]], width: int) -> tuple[list[int], list[int]]:
     """Invariant factors of the matrix with these sparse rows, consumed.
 
     Columns ``0..width-1`` are swept twice, those with the fewest entries
@@ -201,14 +202,16 @@ def _sparse_snf(sparse: list[dict[int, int]], width: int) -> list[int]:
     A pivot alone in its row and column drops out with them.  The dropped
     pivots are the diagonal of an equivalent matrix, which gcd and lcm of
     pairs turn into the divisor chain.  Invariant factors are unique, so
-    neither the order nor the pivots change the result.
+    neither the order nor the pivots change the result.  Returns the
+    factors and the first sweep's unit-pivot columns in pivot order, the
+    cells ``homology`` cancels from the next map down.
     """
     col_rows: list[set[int]] = [set() for _ in range(width)]
     for i, r in enumerate(sparse):
         for j in r:
             col_rows[j].add(i)
     order = sorted(range(width), key=lambda j: len(col_rows[j]))
-    units = 0
+    units: list[int] = []
     for j in order:
         pivot = None
         for i in col_rows[j]:
@@ -237,7 +240,7 @@ def _sparse_snf(sparse: list[dict[int, int]], width: int) -> list[int]:
                 else:
                     del r[k]
                     col_rows[k].discard(i)
-        units += 1
+        units.append(j)
     # The rows left are few and short, so the second sweep scans them.  Its
     # column and pivot row have their own names: the closures below make
     # them cell variables, which would slow down ``j`` and ``prow`` above.
@@ -274,7 +277,7 @@ def _sparse_snf(sparse: list[dict[int, int]], width: int) -> list[int]:
     for a in range(len(chain)):
         for b in range(a + 1, len(chain)):
             chain[a], chain[b] = gcd(chain[a], chain[b]), lcm(chain[a], chain[b])
-    return [1] * (units + len(diagonal) - len(chain)) + chain
+    return [1] * (len(units) + len(diagonal) - len(chain)) + chain, units
 
 
 @dataclass(frozen=True)
@@ -312,17 +315,32 @@ class HomologyProfile:
 
 
 def homology(g: ColoredGraph) -> HomologyProfile:
-    """Integral homology H_0 .. H_d of the space the graph encodes."""
+    """Integral homology H_0 .. H_d of the space the graph encodes.
+
+    The maps are reduced from d_d down to d_1, each transposed, and the
+    (h-1)-cells of the unit pivots of d_h's first sweep are left out of
+    d_(h-1)'s transpose.  Every map keeps its invariant factors.  Say that
+    sweep pivots columns a_1, a_2, ... in turn.  It only adds multiples of
+    one row to another, so a_k's pivot row is w_k = d_h z_k for an integer
+    chain z_k, +-1 on a_k and 0 on the earlier pivot columns, which their
+    pivots cleared.  So the w_k and the cells not pivoted form a
+    unimodular basis of C_(h-1), and d_(h-1) w_k = d_(h-1) d_h z_k = 0:
+    in that basis d_(h-1) is [0 | M], with M its columns on the cells not
+    pivoted, and M has the invariant factors of d_(h-1).  The gcd sweep
+    also operates on columns, so its pivot rows need not be of this form
+    and their cells stay.
+    """
     k = build_complex(g)
     f = k.f_vector
-    factors: list[list[int]] = [[]]
-    for h in range(1, len(k.columns)):
+    factors: list[list[int]] = [[] for _ in range(len(f) + 1)]
+    units: list[int] = []
+    for h in range(len(f) - 1, 0, -1):
         # The columns of a boundary map are the rows of its transpose,
         # which has the same invariant factors.
         signs = [-1 if pos % 2 else 1 for pos in range(h + 1)]
-        rows = [dict(zip(col, signs)) for col in k.columns[h]]
-        factors.append(_sparse_snf(rows, f[h - 1]))
-    factors.append([])
+        cut = set(units)
+        rows = [dict(zip(c, signs)) for j, c in enumerate(k.columns[h]) if j not in cut]
+        factors[h], units = _sparse_snf(rows, f[h - 1])
     return HomologyProfile(tuple(
         (f[i] - len(factors[i]) - len(out), tuple(e for e in out if e > 1))
         for i, out in enumerate(factors[1:])

@@ -318,6 +318,31 @@ def oracle_homology(g: ColoredGraph):
     )
 
 
+def per_map_homology(g: ColoredGraph):
+    """Homology with one full Smith normal form per boundary map.
+
+    The library's ``homology`` before it cancelled the cells of unit
+    pivots from the next map down, kept verbatim apart from reading the
+    factors out of ``_sparse_snf``'s pair.  Needs no optional package.
+    """
+    from gemkit.complexes import HomologyProfile, _sparse_snf, build_complex
+
+    k = build_complex(g)
+    f = k.f_vector
+    factors: list[list[int]] = [[]]
+    for h in range(1, len(k.columns)):
+        # The columns of a boundary map are the rows of its transpose,
+        # which has the same invariant factors.
+        signs = [-1 if pos % 2 else 1 for pos in range(h + 1)]
+        rows = [dict(zip(col, signs)) for col in k.columns[h]]
+        factors.append(_sparse_snf(rows, f[h - 1])[0])
+    factors.append([])
+    return HomologyProfile(tuple(
+        (f[i] - len(factors[i]) - len(out), tuple(e for e in out if e > 1))
+        for i, out in enumerate(factors[1:])
+    ))
+
+
 def doubled(g: ColoredGraph) -> ColoredGraph:
     """Two copies of ``g`` joined by a new last color v <-> v + n."""
     n = g.vertex_count
@@ -332,6 +357,25 @@ def random_gem(rng: random.Random, d: int, n: int) -> ColoredGraph:
         g = ColoredGraph(
             [standard_matching(n)] + [random_matching(rng, n) for _ in range(d)]
         )
+        if g.is_connected():
+            return g
+
+
+def random_bipartite_gem(rng: random.Random, d: int, n: int) -> ColoredGraph:
+    """Random connected bipartite (d+1)-colored graph of the given even order.
+
+    Every color joins the even vertex 2i to an odd one.
+    """
+    while True:
+        mats = [standard_matching(n)]
+        for _ in range(d):
+            odd = list(range(1, n, 2))
+            rng.shuffle(odd)
+            m = [0] * n
+            for i, w in enumerate(odd):
+                m[2 * i], m[w] = w, 2 * i
+            mats.append(m)
+        g = ColoredGraph(mats)
         if g.is_connected():
             return g
 

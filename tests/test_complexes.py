@@ -23,6 +23,7 @@ from gemkit.complexes import (
     PseudoComplex,
     _manifold_check,
     _partition_table,
+    _sparse_snf,
     build_complex,
     consistency_surface,
     euler_characteristic_complex,
@@ -46,6 +47,8 @@ from helpers import (
     doubled,
     matrix_product,
     oracle_manifold_check,
+    per_map_homology,
+    random_bipartite_gem,
     random_gem,
     random_permutation,
     random_surface_gem,
@@ -337,6 +340,51 @@ def test_snf_invariant_under_unimodular_ops():
         assert smith_invariant_factors(mm) == base
 
 
+def _sparse_rows(m):
+    return [{j: v for j, v in enumerate(r) if v} for r in m]
+
+
+def test_snf_reports_only_the_first_sweeps_unit_columns():
+    assert _sparse_snf(_sparse_rows([[1, 5, 7], [0, 2, 0], [0, 0, 3]]), 3) == ([1, 1, 6], [0])
+    # No unit: the gcd sweep swaps the remainder 1 into column 0 and
+    # pivots there.  Cancelling cell 0 of d_h = (2, 3) against a next map
+    # d_(h-1) = (3, -2) would leave (-2), factor 2 where the map has 1.
+    assert _sparse_snf(_sparse_rows([[2, 3]]), 2) == ([1], [])
+
+
+def test_cancelling_reported_columns_keeps_the_next_maps_factors():
+    # Random pairs d_(h-1) d_h = 0, built as [0 | M] U^-1 and U [D; 0]
+    # with U unimodular and then mixed by column operations, so rows hold
+    # coprime entries above 1 and the gcd sweep pivots and swaps too.
+    pair_rng = random.Random(2929)
+    for _ in range(300):
+        m, r, cols, k = (pair_rng.randint(1, 6) for _ in range(4))
+        m += r
+        u = [[int(i == j) for j in range(m)] for i in range(m)]
+        u_inv = [row[:] for row in u]
+        for _ in range(2 * m):
+            i, j = pair_rng.sample(range(m), 2)
+            f = pair_rng.choice((-2, -1, 1, 2))
+            for c in range(m):
+                u[i][c] += f * u[j][c]
+            for row in u_inv:
+                row[j] -= f * row[i]
+        diag = [pair_rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(r)]
+        d_h = [[u[i][j] * diag[j] if j < r else 0 for j in range(cols + r)] for i in range(m)]
+        for _ in range(cols + r):
+            a, b = pair_rng.sample(range(cols + r), 2)
+            f = pair_rng.choice((-2, -1, 1, 2))
+            for row in d_h:
+                row[a] += f * row[b]
+        m_block = [[0] * r + [pair_rng.randint(-3, 3) for _ in range(m - r)] for _ in range(k)]
+        d_next = matrix_product(m_block, u_inv)
+        assert not any(any(row) for row in matrix_product(d_next, d_h))
+        factors, units = _sparse_snf(_sparse_rows(list(zip(*d_h))), m)
+        assert factors == smith_invariant_factors(list(zip(*d_h)))
+        kept = [row for i, row in enumerate(zip(*d_next)) if i not in units]
+        assert _sparse_snf(_sparse_rows(kept), k)[0] == smith_invariant_factors(d_next)
+
+
 # -- homology -------------------------------------------------------------------
 
 
@@ -468,6 +516,58 @@ def test_residue_recursion_matches_full_homology(label):
         assert (failure is None) == (homology(piece) == sphere_profile(m))
         checked += 1
     assert checked or g.dimension == 3  # the pieces of a 3-gem are surfaces
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_homology_matches_per_map_snf_on_random_gems(d):
+    # A profile fixes every map's rank (from the Betti numbers, top down)
+    # and its factors above 1, so equal profiles mean equal factor lists.
+    gem_rng = random.Random(2900 + d)
+    for i in range(50):
+        make = random_bipartite_gem if i % 2 else random_gem
+        g = make(gem_rng, d, 2 * gem_rng.randint(1, 8))
+        assert homology(g) == per_map_homology(g), g.matchings
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        lens_gem(3, 0, 4),
+        lens_gem(4, 0, 2),
+        lens_gem(6, 2, 2),
+        lens_gem(4, 2, 4),
+        lens_gem(9, 3, 2),
+        lens_gem(20, 1, 8),
+        doubled(lens_gem(5, 2, 2)),
+        doubled(sphere_times_circle_gem(4)),
+        doubled(sphere_times_circle_gem(4, twisted=True)),
+        doubled(sphere_times_circle_gem(5)),
+        doubled(sphere_times_circle_gem(5, twisted=True)),
+    ],
+    ids=[
+        "lens(3,0,4)",
+        "lens(4,0,2)",
+        "lens(6,2,2)",
+        "lens(4,2,4)",
+        "lens(9,3,2)",
+        "lens(20,1,8)",
+        "doubled lens(5,2,2)",
+        "doubled bundle(4)",
+        "doubled twisted bundle(4)",
+        "doubled bundle(5)",
+        "doubled twisted bundle(5)",
+    ],
+)
+def test_homology_matches_per_map_snf_on_families(g):
+    assert homology(g) == per_map_homology(g)
+
+
+@pytest.mark.parametrize("label", list(SPHERE_TEST_GEMS))
+def test_homology_matches_per_map_snf_on_residue_pieces(label):
+    memo = {}
+    _manifold_check(SPHERE_TEST_GEMS[label], memo)
+    for piece in memo:
+        assert homology(piece) == per_map_homology(piece), piece.matchings
 
 
 def test_sphere_test_failure_branches():

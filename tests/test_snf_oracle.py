@@ -80,7 +80,7 @@ def test_snf_matches_sympy_on_boundary_matrices(gem):
 # -- homology against the dense oracle ----------------------------------------
 
 
-@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("d", range(1, 7))
 def test_homology_matches_dense_oracle_on_random_gems(d):
     rng = random.Random(5100 + d)
     for n in range(2, 17, 2):
