@@ -8,8 +8,9 @@ signs from the position of the dropped label in ascending order.  The
 residue partitions on all color sets come from one table per graph, each
 merged from a smaller one with one union-find pass instead of walked.
 
-Each boundary map is kept as sparse columns, at most h+1 entries +-1 per
-h-cell; the dense matrices are only a view built on request.  Homology is
+The complex keeps each label set's cell count and each boundary map as
+sparse columns, at most h+1 entries +-1 per h-cell; the cell tuples and
+dense matrices are views built on request.  Homology is
 computed by Smith normal form over exact integers, which at these sizes
 needs no modular tricks: from the top dimension down, the columns go in
 as the rows of the transposed map, every unit pivot is eliminated on those
@@ -36,30 +37,38 @@ from .embedding import CyclicPermutation, _genus_zero, euler_characteristic
 
 @dataclass(frozen=True)
 class PseudoComplex:
-    """Cells and integer boundary maps of the glued simplex complex.
+    """Cell counts and integer boundary maps of the glued simplex complex.
 
-    ``cells[h]`` lists the h-cells as (label set, component id) pairs.
-    ``columns[h][j]`` is the sparse boundary of h-cell j: entry ``pos`` is
-    the (h-1)-cell of the facet that drops the label at index ``pos`` of
-    its label set, with coefficient (-1)^pos; facets drop different
-    labels, so the h+1 cells are distinct.  ``boundaries[h]`` is the same
-    map as a dense matrix, rows indexed by the (h-1)-cells, built on first
-    read.  ``columns[0]`` and ``boundaries[0]`` are empty.
+    ``counts[h]`` holds the h-cell count of every label set of size h+1,
+    in ``combinations`` order.  ``columns[h][j]`` is the sparse boundary
+    of h-cell j: entry ``pos`` is the (h-1)-cell of the facet that drops
+    the label at index ``pos`` of its label set, with coefficient
+    (-1)^pos; facets drop different labels, so the h+1 cells are distinct.
+    Views built on first read: ``cells[h]``, the h-cells as (label set,
+    component id) pairs, and ``boundaries[h]``, the map as a dense matrix
+    with rows indexed by the (h-1)-cells.  ``columns[0]`` and
+    ``boundaries[0]`` are empty.
     """
 
     dimension: int
-    cells: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+    counts: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.cells)
+        return tuple(map(sum, self.counts))
+
+    @cached_property
+    def cells(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+        labels = range(self.dimension + 1)
+        layers = (zip(itertools.combinations(labels, h + 1), c) for h, c in enumerate(self.counts))
+        return tuple(tuple((C, j) for C, n in layer for j in range(n)) for layer in layers)
 
     @cached_property
     def boundaries(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         mats = []
         for h, cols in enumerate(self.columns):
-            mat = [[0] * len(cols) for _ in self.cells[h - 1]] if h else []
+            mat = [[0] * len(cols) for _ in range(self.f_vector[h - 1])] if h else []
             for j, col in enumerate(cols):
                 for pos, i in enumerate(col):
                     mat[i][j] = -1 if pos % 2 else 1
@@ -83,8 +92,7 @@ def build_complex(g: ColoredGraph) -> PseudoComplex:
     """Glue one d-simplex per vertex along the colored edges."""
     if not g.is_connected():
         raise NotConnectedError("the complex is built for connected graphs")
-    cells, columns = _layers(g)
-    return PseudoComplex(g.dimension, cells, columns)
+    return PseudoComplex(g.dimension, *_layers(g))
 
 
 def _partition_table(g: ColoredGraph) -> list[tuple[list[int], list[int]]]:
@@ -131,40 +139,31 @@ def _partition_table(g: ColoredGraph) -> list[tuple[list[int], list[int]]]:
 
 
 def _layers(g: ColoredGraph) -> tuple[tuple, tuple]:
-    """Cells of every dimension and boundary columns of dimension 1 and up.
+    """Cell counts per label set and boundary columns of every dimension.
 
-    An h-cell's label set C picks the residue on the complementary colors
-    from ``g``'s partition table; the cells are its components, in id
-    order, and each column is read at the component's least vertex.
+    One pass takes the label sets C, by bitmask, one dimension at a time.
+    C records its first cell and the residue ids of the partition on its
+    complementary colors, then appends its component count.  From
+    dimension 1 up, its columns (one per component, read at the least
+    vertex) come from the records its facets made one dimension earlier.
     """
     table = _partition_table(g)
     full = (1 << len(g.matchings)) - 1
-    # For every label set C: the cell offset and the partition of the
-    # residue on the complement.
-    subset_info: dict[tuple[int, ...], tuple[int, list[int], list[int]]] = {}
-    cells: list[tuple[tuple[tuple[int, ...], int], ...]] = []
+    records: dict[int, tuple[int, list[int]]] = {}
+    counts, columns = [], []
     for h in g.colors:
-        layer = []
-        offset = 0
+        offset, layer, cols = 0, [], []
         for C in itertools.combinations(g.colors, h + 1):
-            idx, least = table[full ^ sum(1 << c for c in C)]
-            subset_info[C] = (offset, idx, least)
-            layer.extend((C, j) for j in range(len(least)))
+            mask = sum(1 << c for c in C)
+            idx, least = table[full ^ mask]
+            records[mask] = (offset, idx)
+            facets = [records[mask ^ 1 << c] for c in C] if h else []
+            cols += zip(*([first + f_idx[v] for v in least] for first, f_idx in facets))
+            layer.append(len(least))
             offset += len(least)
-        cells.append(tuple(layer))
-
-    columns: list[tuple[tuple[int, ...], ...]] = [()]
-    for h in range(1, len(g.matchings)):
-        layer_cols: list[tuple[int, ...]] = []
-        for C in itertools.combinations(g.colors, h + 1):
-            _, _, reps = subset_info[C]
-            facet_rows = []
-            for pos in range(h + 1):
-                f_offset, f_idx, _ = subset_info[C[:pos] + C[pos + 1 :]]
-                facet_rows.append([f_offset + f_idx[rep] for rep in reps])
-            layer_cols += zip(*facet_rows)
-        columns.append(tuple(layer_cols))
-    return tuple(cells), tuple(columns)
+        counts.append(tuple(layer))
+        columns.append(tuple(cols))
+    return tuple(counts), tuple(columns)
 
 
 def euler_characteristic_complex(k: PseudoComplex) -> int:
@@ -405,13 +404,15 @@ def manifold_check(g: ColoredGraph) -> ManifoldVerdict:
         raise ValueError("manifold certification is defined for dimension >= 2")
     if g.dimension == 2:
         return ManifoldVerdict(CERTIFIED_SURFACE)
-    return _manifold_check(g, {})
+    failure = _manifold_check(g, {})
+    if failure is not None:
+        return ManifoldVerdict(FAILED, failure)
+    return ManifoldVerdict(CERTIFIED_3_MANIFOLD if g.dimension == 3 else HOMOLOGY_CERTIFIED)
 
 
-def _manifold_check(
-    g: ColoredGraph, memo: dict[ColoredGraph, Optional[str]]
-) -> ManifoldVerdict:
-    """Certify a connected graph of dimension >= 3 by its residues.
+def _manifold_check(g: ColoredGraph, memo: dict[ColoredGraph, Optional[str]]) -> Optional[str]:
+    """Why the first residue of a connected graph of dimension >= 3 that
+    is not a sphere fails, or None if every residue passes.
 
     One residue component is reached along every order of deleting its
     missing colors and renumbered to the same graph each time, so
@@ -425,14 +426,9 @@ def _manifold_check(
         for piece_no, (piece, _) in enumerate(pieces):
             if piece not in memo:
                 memo[piece] = _residue_failure(piece, memo)
-            failure = memo[piece]
-            if failure is not None:
-                return ManifoldVerdict(
-                    FAILED, f"residue without color {c}, component {piece_no}: {failure}"
-                )
-    if g.dimension == 3:
-        return ManifoldVerdict(CERTIFIED_3_MANIFOLD)
-    return ManifoldVerdict(HOMOLOGY_CERTIFIED)
+            if memo[piece] is not None:
+                return f"residue without color {c}, component {piece_no}: {memo[piece]}"
+    return None
 
 
 def _residue_failure(
@@ -456,11 +452,9 @@ def _residue_failure(
         chi = euler_characteristic(piece, CyclicPermutation((0, 1, 2)))
         return f"surface has chi {chi}, expected 2"
     sub = _manifold_check(piece, memo)
-    if not sub.ok:
-        return sub.detail
-    if homology(piece) != sphere_profile(m):
+    if sub is None and homology(piece) != sphere_profile(m):
         return f"homology differs from the {m}-sphere"
-    return None
+    return sub
 
 
 def consistency_surface(g: ColoredGraph) -> bool:

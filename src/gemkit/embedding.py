@@ -358,15 +358,19 @@ def _witness_differences(table: dict[tuple[int, int], list[int]]) -> tuple[dict,
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """Everything one arrangement says about a connected colored graph."""
+    """One arrangement's g-values, chi, orientability and common face-cycle
+    type (None if the vertices differ); 2 - chi is twice the genus.
+    """
 
     epsilon: CyclicPermutation
     g_values: tuple[int, ...]
     chi: int
-    rho_times_2: int
     orientable: bool
     signature: Optional[TypeSignature]
-    bigons: str
+
+    @property
+    def rho_times_2(self) -> int:
+        return 2 - self.chi
 
     @property
     def rho(self) -> Fraction:
@@ -429,8 +433,8 @@ def semi_equivelar_report(
             sig = None  # a witness and vertex 0 see different face multisets
         else:
             sig = _signature(map(table.__getitem__, pairs), bigons)
-        reports.append(EmbeddingReport(eps, gv, chi, 2 - chi, orientable, sig, bigons))
-    reports.sort(key=operator.attrgetter("rho_times_2"))  # stable; _arrangements is in order
+        reports.append(EmbeddingReport(eps, gv, chi, orientable, sig))
+    reports.sort(key=operator.attrgetter("chi"), reverse=True)  # stable; _arrangements is in order
     qualifying = [r for r in reports if r.signature is not None]
     best = qualifying[0].rho_times_2 if qualifying else None
     winners = tuple(r.epsilon for r in qualifying if r.rho_times_2 == best)

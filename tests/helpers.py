@@ -438,7 +438,7 @@ def oracle_semi_equivelar_report(g: ColoredGraph, bigons: str = "exclude"):
         chi = sum(gvals) + (1 - d) * n // 2
         sig = oracle_semi_equivelar_type(g, eps, bigons)
         reports.append(
-            EmbeddingReport(eps, gvals, chi, 2 - chi, orientable, sig, bigons)
+            EmbeddingReport(eps, gvals, chi, orientable, sig)
         )
     reports.sort(key=lambda r: (r.rho_times_2, r.epsilon.order))
     qualifying = [r for r in reports if r.signature is not None]

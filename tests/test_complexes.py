@@ -85,9 +85,14 @@ def test_cell_count_identities():
         )
 
 
+census_rng = random.Random(3001)  # its own stream: leaves ``rng``'s draws as they were
+
+
 def test_f_vector_matches_residue_census():
     # Independent derivation: h-cells are components of complement residues.
-    for g in (lens_gem(2, 1, 2), rp2_sum_gem(3)):
+    gems = [lens_gem(2, 1, 2), rp2_sum_gem(3)]
+    gems += [random_gem(census_rng, d, 2 * census_rng.randint(1, 6)) for d in range(1, 6)]
+    for g in gems:
         k = build_complex(g)
         d = g.dimension
         colors = set(g.colors)
@@ -100,6 +105,13 @@ def test_f_vector_matches_residue_census():
                 else:
                     expected += g.vertex_count
             assert k.f_vector[h] == expected
+            # The cells view: each label set's components, label sets in
+            # ``combinations`` order.
+            assert k.cells[h] == tuple(
+                (C, j)
+                for C in itertools.combinations(range(d + 1), h + 1)
+                for j in range(residue_count(g, colors - set(C)))
+            )
 
 
 def test_boundary_squares_to_zero():
@@ -222,12 +234,18 @@ def test_dense_boundaries_are_a_cached_view():
 
 
 def test_homology_never_builds_dense_matrices(monkeypatch):
-    def no_dense(self):
-        raise AssertionError("dense boundary matrices built on the homology path")
+    # Nor the (label set, component) cell tuples: only views read them.
+    def refused(what):
+        def read(self):
+            raise AssertionError(f"{what} built on the homology path")
 
-    monkeypatch.setattr(PseudoComplex, "boundaries", property(no_dense))
-    with pytest.raises(AssertionError):
-        build_complex(standard_sphere(2)).boundaries
+        return property(read)
+
+    monkeypatch.setattr(PseudoComplex, "boundaries", refused("dense boundary matrices"))
+    monkeypatch.setattr(PseudoComplex, "cells", refused("cell tuples"))
+    for view in ("boundaries", "cells"):
+        with pytest.raises(AssertionError):
+            getattr(build_complex(standard_sphere(2)), view)
     bundle = ((1, ()), (1, ()), (0, ()), (0, ()), (1, ()), (1, ()))
     twisted = ((1, ()), (1, ()), (0, ()), (0, ()), (0, (2,)), (0, ()))
     assert homology(sphere_times_circle_gem(5)).groups == bundle
@@ -503,9 +521,10 @@ SPHERE_TEST_GEMS = {
 def test_residue_recursion_matches_full_homology(label):
     g = SPHERE_TEST_GEMS[label]
     memo = {}
-    got = _manifold_check(g, memo)
-    want = oracle_manifold_check(g)
+    failure = _manifold_check(g, memo)
+    got, want = manifold_check(g), oracle_manifold_check(g)
     assert (got.kind, got.detail) == (want.kind, want.detail)
+    assert failure == want.detail
     checked = 0
     for piece, failure in memo.items():
         m = piece.dimension
