@@ -10,12 +10,10 @@ from .core import (
     ColoredGraph,
     Isomorphism,
     NotConnectedError,
-    ResiduePartition,
     canonical_form,
     is_bipartite,
     is_contracted,
     isomorphic,
-    residue_components,
     residue_count,
     residue_graphs,
 )
@@ -37,8 +35,6 @@ from .complexes import (
     ManifoldVerdict,
     PseudoComplex,
     build_complex,
-    consistency_surface,
-    euler_characteristic_complex,
     homology,
     manifold_check,
     orientable,
@@ -48,7 +44,6 @@ from .generators import (
     FamilyValidationError,
     catalog,
     catalog_manifest,
-    catalog_names,
     lens_gem,
     lens_nonbipartite_attempt,
     rp2_sum_gem,

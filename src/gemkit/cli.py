@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Sequence
 
 from . import generators, io, search
-from .core import ColoredGraph, NotConnectedError, is_bipartite, is_contracted, isomorphic
+from .core import ColoredGraph, is_bipartite, is_contracted, isomorphic
 from .embedding import semi_equivelar_report
 from .complexes import homology
 
@@ -319,7 +319,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (
         ValueError,
-        NotConnectedError,
         search.BudgetExceededError,
         generators.FamilyValidationError,
         OSError,

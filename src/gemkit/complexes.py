@@ -166,11 +166,6 @@ def _layers(g: ColoredGraph) -> tuple[tuple, tuple]:
     return tuple(counts), tuple(columns)
 
 
-def euler_characteristic_complex(k: PseudoComplex) -> int:
-    """Alternating sum of cell counts."""
-    return sum((-1) ** h * f for h, f in enumerate(k.f_vector))
-
-
 def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
@@ -287,12 +282,6 @@ class HomologyProfile:
     """
 
     groups: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def rank(self, i: int) -> int:
-        return self.groups[i][0]
-
-    def torsion(self, i: int) -> tuple[int, ...]:
-        return self.groups[i][1]
 
     def group_str(self, i: int) -> str:
         rank, tors = self.groups[i]
@@ -455,12 +444,3 @@ def _residue_failure(
     if sub is None and homology(piece) != sphere_profile(m):
         return f"homology differs from the {m}-sphere"
     return sub
-
-
-def consistency_surface(g: ColoredGraph) -> bool:
-    """Check the two Euler characteristic derivations agree on a surface."""
-    if g.dimension != 2:
-        raise ValueError("surface consistency check needs dimension 2")
-    chi_cells = euler_characteristic_complex(build_complex(g))
-    chi_embed = euler_characteristic(g, CyclicPermutation((0, 1, 2)))
-    return chi_cells == chi_embed

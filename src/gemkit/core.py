@@ -69,9 +69,6 @@ class ColoredGraph:
     def colors(self) -> range:
         return range(len(self.matchings))
 
-    def neighbor(self, v: int, c: int) -> int:
-        return self.matchings[c][v]
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield each edge once as (u, v, c) with u < v, colors ascending."""
         for c, m in enumerate(self.matchings):
@@ -127,22 +124,6 @@ def _relabeled_matchings(
     return out
 
 
-@dataclass(frozen=True)
-class ResiduePartition:
-    """Connected components of the subgraph spanned by a set of colors.
-
-    Components are sorted vertex tuples, listed in order of their minimum
-    vertex, so the partition is deterministic for a given graph.
-    """
-
-    colors: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-
 def component_index(
     g: ColoredGraph, colors: Iterable[int]
 ) -> tuple[list[int], int]:
@@ -170,16 +151,6 @@ def component_index(
                     stack.append(w)
         count += 1
     return idx, count
-
-
-def residue_components(g: ColoredGraph, colors: Iterable[int]) -> ResiduePartition:
-    """Partition the vertices under edges whose colors lie in ``colors``."""
-    cols = _checked_colors(g, colors)
-    idx, count = component_index(g, cols)
-    comps: list[list[int]] = [[] for _ in range(count)]
-    for v in range(g.vertex_count):
-        comps[idx[v]].append(v)
-    return ResiduePartition(cols, tuple(tuple(c) for c in comps))
 
 
 def residue_count(g: ColoredGraph, colors: Iterable[int]) -> int:
@@ -498,10 +469,8 @@ def isomorphic(
     if mode == "color-fixed" and ta != tb:
         return None
     cmaps = [tuple(range(k))] if mode == "color-fixed" else _color_maps(ta, tb, k)
-    parts_a = [
-        _bfs_labeling(a.matchings, comp[0])
-        for comp in residue_components(a, a.colors).components
-    ]
+    idx, count = component_index(a, a.colors)  # ids ascend with least vertices
+    parts_a = [_bfs_labeling(a.matchings, idx.index(i)) for i in range(count)]
     for cmap in cmaps:
         vmap = _vertex_map(parts_a, [b.matchings[c] for c in cmap])
         if vmap is not None:

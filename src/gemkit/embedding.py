@@ -139,9 +139,6 @@ class TypeSignature:
         """
         return _runs(self.faces)
 
-    def has_bigon(self) -> bool:
-        return 2 in self.faces
-
     def __str__(self) -> str:
         return condensed_str(self.condensed)
 
@@ -217,10 +214,11 @@ def _most_faces(g: ColoredGraph, best: int, first: bool) -> tuple[int, list[tupl
     order that has them in ``all_cyclic_permutations`` order (or the first).
 
     An order's faces are its pairs' g-values summed; chi = faces + (1-d)n/2.
-    Prefixes (0, x, ...) grow depth first, least x first; second < last is
-    checked at the leaf.  An unplaced color lies on two open pairs, color 0
-    and the last color on one each: a prefix whose open pairs cannot reach
-    ``best`` by those colors' largest g-values is cut, and a tie is kept.
+    Prefixes (0, x, ...) grow depth first, least x first; with two colors
+    left, only the children whose one leaf ends above the second color are
+    pushed.  An unplaced color lies on two open pairs, color 0 and the last
+    color on one each: a prefix whose open pairs cannot reach ``best`` by
+    those colors' largest g-values is cut, and a tie is kept.
     """
     gvals = _g_values(_pair_table(g))
     colors = g.colors
@@ -233,23 +231,28 @@ def _most_faces(g: ColoredGraph, best: int, first: bool) -> tuple[int, list[tupl
     while stack:
         t, s, rest, left = stack.pop()
         a = t[-1]
-        if len(left) > 1:
-            for i in reversed(range(len(left))):
-                x = left[i]
-                sx, rx = s + gvals[a, x], rest - two[x]
-                if 2 * sx + rx + top[0] + top[x] >= 2 * best:
-                    stack.append((t + (x,), sx, rx, left[:i] + left[i + 1 :]))
+        if len(left) > 2:
+            end = len(left)
+        elif len(left) == 2:
+            # Child i's leaf ends on the other color, the second is t[1] (at
+            # d = 2 the child), and ``left`` ascends: the children kept come first.
+            second = t[1] if len(t) > 1 else left[0]
+            end = (left[0] > second) + (left[1] > second)
+        else:
+            x = left[0]
+            s += gvals[a, x] + gvals[x, 0]
+            if s > best:
+                best, found = s, []
+            if s == best:
+                found.append(t + (x,))
+                if first:
+                    break
             continue
-        x = left[0]
-        if len(t) > 1 and x < t[1]:  # d = 1's one order (0, 1) has no t[1]
-            continue
-        s += gvals[a, x] + gvals[x, 0]
-        if s > best:
-            best, found = s, []
-        if s == best:
-            found.append(t + (x,))
-            if first:
-                break
+        for i in reversed(range(end)):
+            x = left[i]
+            sx, rx = s + gvals[a, x], rest - two[x]
+            if 2 * sx + rx + top[0] + top[x] >= 2 * best:
+                stack.append((t + (x,), sx, rx, left[:i] + left[i + 1 :]))
     return best, found
 
 
@@ -289,18 +292,6 @@ def _g_values(table: dict[tuple[int, int], list[int]]) -> dict[tuple[int, int], 
         if a < b:
             gvals[a, b] = gvals[b, a] = _cycle_count(lengths)
     return gvals
-
-
-def face_multisets_uniform(g: ColoredGraph, eps: CyclicPermutation) -> bool:
-    """Weaker diagnostic: the same multiset of face lengths at every vertex.
-
-    Multiset agreement does not imply agreement of the cyclic tuples once
-    there are four or more faces, so this never decides the vertex-uniform
-    verdict; it only helps narrow down why a graph just missed it.
-    """
-    _require_gem_input(g, eps)
-    rows = [sorted(row) for row in zip(*_face_lengths(g, eps))]
-    return all(row == rows[0] for row in rows)
 
 
 def semi_equivelar_type(

@@ -489,14 +489,6 @@ _CATALOG: dict[str, CatalogEntry] = {
 }
 
 
-def catalog_names(include_disabled: bool = False) -> list[str]:
-    return [
-        name
-        for name, entry in _CATALOG.items()
-        if include_disabled or entry.enabled
-    ]
-
-
 def catalog_manifest() -> list[dict]:
     """JSON-ready description of every catalog entry, enabled or not."""
     return [entry.to_json_dict() for entry in _CATALOG.values()]

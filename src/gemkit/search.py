@@ -848,11 +848,14 @@ class ClassifiedGem:
     """One isomorphism class found by the all-squares classification."""
 
     graph: ColoredGraph
-    order: int
     bipartite: bool
     verdict: ManifoldVerdict
     homology: HomologyProfile
     lens_parameters: Optional[tuple[int, int, int]]
+
+    @property
+    def order(self) -> int:
+        return self.graph.vertex_count
 
 
 @dataclass(frozen=True)
@@ -867,8 +870,11 @@ class Classify44Report:
     order_max: int
     exhaustive: bool
     entries: tuple[ClassifiedGem, ...]
-    count_color_permuting: int
     count_color_fixed: int
+
+    @property
+    def count_color_permuting(self) -> int:
+        return len(self.entries)
 
     @property
     def bipartite_manifold_entries(self) -> tuple[ClassifiedGem, ...]:
@@ -972,12 +978,6 @@ def classify_4_4(order_max: int = 8, order_budget: int = 16) -> Classify44Report
             if isomorphic(g, generators.lens_gem(p, q, k), "color-permuting"):
                 lens_params = (p, q, k)
                 break
-        entries.append(
-            ClassifiedGem(
-                g, g.vertex_count, is_bipartite(g), verdict, hom, lens_params
-            )
-        )
+        entries.append(ClassifiedGem(g, is_bipartite(g), verdict, hom, lens_params))
     entries.sort(key=lambda e: e.order)  # stable: classes are in canonical order
-    return Classify44Report(
-        order_max, True, tuple(entries), len(classes), len(firsts)
-    )
+    return Classify44Report(order_max, True, tuple(entries), len(firsts))

@@ -107,6 +107,11 @@ def oracle_chi_from_counts(g: ColoredGraph, eps_pairs) -> int:
     return n - edges + faces
 
 
+def complex_chi(k) -> int:
+    """Euler characteristic of a cell complex: its cell counts' alternating sum."""
+    return sum((-1) ** h * f for h, f in enumerate(k.f_vector))
+
+
 def oracle_is_bipartite(g: ColoredGraph) -> bool:
     """Breadth-first 2-colouring over every color's edges."""
     side = [-1] * g.vertex_count

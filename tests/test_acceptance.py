@@ -27,7 +27,6 @@ from gemkit.complexes import (
     CERTIFIED_3_MANIFOLD,
     HOMOLOGY_CERTIFIED,
     build_complex,
-    euler_characteristic_complex,
     homology,
     manifold_check,
 )
@@ -42,7 +41,7 @@ from gemkit.generators import (
 )
 from gemkit.search import SearchSpec, classify_4_4, enumerate_embedding_types, search_report
 
-from helpers import matrix_product, random_permutation, random_surface_gem
+from helpers import complex_chi, matrix_product, random_permutation, random_surface_gem
 
 EPS3 = CyclicPermutation((0, 1, 2))
 EPS4 = CyclicPermutation((0, 1, 2, 3))
@@ -255,7 +254,7 @@ def test_criterion_10_randomized_structure_suites():
             k = build_complex(g)
             prod = matrix_product(k.boundaries[1], k.boundaries[2])
             assert all(all(x == 0 for x in row) for row in prod)
-            assert euler_characteristic_complex(k) == euler_characteristic(g, EPS3)
+            assert complex_chi(k) == euler_characteristic(g, EPS3)
             assert homology(g).groups[2] == surface_h2[is_bipartite(g)]
 
         # Certified 3-dimensional gems: complex Euler characteristic vanishes
@@ -272,7 +271,7 @@ def test_criterion_10_randomized_structure_suites():
         ]
         for g in three_dim:
             assert manifold_check(g).ok
-            assert euler_characteristic_complex(build_complex(g)) == 0
+            assert complex_chi(build_complex(g)) == 0
             top = homology(g).groups[3]
             assert top == ((1, ()) if is_bipartite(g) else (0, ()))
 

@@ -25,15 +25,13 @@ from gemkit.complexes import (
     _partition_table,
     _sparse_snf,
     build_complex,
-    consistency_surface,
-    euler_characteristic_complex,
     homology,
     manifold_check,
     orientable,
     smith_invariant_factors,
     sphere_profile,
 )
-from gemkit.embedding import _genus_zero, regular_genus
+from gemkit.embedding import CyclicPermutation, _genus_zero, euler_characteristic, regular_genus
 from gemkit.generators import (
     catalog,
     lens_gem,
@@ -44,6 +42,7 @@ from gemkit.generators import (
 )
 
 from helpers import (
+    complex_chi,
     doubled,
     matrix_product,
     oracle_manifold_check,
@@ -260,21 +259,21 @@ def test_homology_never_builds_dense_matrices(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_chi_complex_spheres(d):
     k = build_complex(standard_sphere(d))
-    assert euler_characteristic_complex(k) == (2 if d % 2 == 0 else 0)
+    assert complex_chi(k) == (2 if d % 2 == 0 else 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chi_complex_surfaces(n):
-    assert euler_characteristic_complex(build_complex(torus_sum_gem(n))) == 2 - 2 * n
-    assert euler_characteristic_complex(build_complex(rp2_sum_gem(n))) == 2 - n
+    assert complex_chi(build_complex(torus_sum_gem(n))) == 2 - 2 * n
+    assert complex_chi(build_complex(rp2_sum_gem(n))) == 2 - n
 
 
 def test_consistency_surface():
-    assert consistency_surface(rp2_sum_gem(3))
-    assert consistency_surface(torus_sum_gem(1))
-    assert euler_characteristic_complex(build_complex(rp2_sum_gem(3))) == -1
-    with pytest.raises(ValueError):
-        consistency_surface(standard_sphere(3))
+    # The complex's chi and the embedding's agree on a surface.
+    eps = CyclicPermutation((0, 1, 2))
+    for g in (rp2_sum_gem(3), torus_sum_gem(1)):
+        assert complex_chi(build_complex(g)) == euler_characteristic(g, eps)
+    assert complex_chi(build_complex(rp2_sum_gem(3))) == -1
 
 
 # -- Smith normal form ---------------------------------------------------------

@@ -11,8 +11,8 @@ from gemkit.core import (
     canonical_labeling,
     is_bipartite,
     is_contracted,
+    component_index,
     isomorphic,
-    residue_components,
     residue_count,
     residue_graphs,
 )
@@ -56,32 +56,29 @@ def test_basic_accessors():
     assert g.dimension == 3
     assert g.vertex_count == 2
     assert list(g.colors) == [0, 1, 2, 3]
-    assert g.neighbor(0, 2) == 1
+    assert g.matchings[2][0] == 1
     assert sorted(g.edges()) == [(0, 1, c) for c in range(4)]
 
 
 def test_residues_on_sphere():
     g = standard_sphere(3)
-    part = residue_components(g, {0, 1})
-    assert part.count == 1
-    assert part.components == ((0, 1),)
+    assert component_index(g, {0, 1}) == ([0, 0], 1)
+    assert [comp for _, comp in residue_graphs(g, {0, 1})] == [(0, 1)]
 
 
 def test_residues_on_lens_gems():
     # Two double cycles in the {0,2} residue.
     assert residue_count(lens_gem(2, 1, 2), (0, 2)) == 2
     # Three 4-cycles in the {0,1} residue of the order-12 member.
-    part = residue_components(lens_gem(3, 1, 2), (0, 1))
-    assert part.count == 3
-    assert all(len(comp) == 4 for comp in part.components)
-    assert part.components == tuple(
-        tuple(c) for c in oracle_components(lens_gem(3, 1, 2), (0, 1))
-    )
+    comps = [comp for _, comp in residue_graphs(lens_gem(3, 1, 2), (0, 1))]
+    assert len(comps) == 3
+    assert all(len(comp) == 4 for comp in comps)
+    assert comps == [tuple(c) for c in oracle_components(lens_gem(3, 1, 2), (0, 1))]
 
 
 def test_residue_color_out_of_range():
     with pytest.raises(ValueError):
-        residue_components(standard_sphere(2), {0, 5})
+        component_index(standard_sphere(2), {0, 5})
 
 
 @pytest.mark.parametrize("n", [6, 8, 10, 12])
@@ -101,8 +98,8 @@ def test_residue_monotonicity_and_identities():
             assert residue_count(g, (c,)) == n // 2
         for small in itertools.combinations(range(3), 2):
             assert residue_count(g, range(3)) <= residue_count(g, small)
-        part = residue_components(g, (0, 1))
-        assert sum(len(c) for c in part.components) == n
+        comps = [comp for _, comp in residue_graphs(g, (0, 1))]
+        assert sorted(v for comp in comps for v in comp) == list(range(n))
 
 
 def test_bipartite():
@@ -111,9 +108,9 @@ def test_bipartite():
     g = rp2_sum_gem(1)
     assert not is_bipartite(g)
     # The odd cycle is explicit: 0-1 by color 0, 1-2 by color 1, 2-0 by color 2.
-    assert g.neighbor(0, 0) == 1
-    assert g.neighbor(1, 1) == 2
-    assert g.neighbor(2, 2) == 0
+    assert g.matchings[0][0] == 1
+    assert g.matchings[1][1] == 2
+    assert g.matchings[2][2] == 0
 
 
 def test_contracted():

@@ -1137,7 +1137,7 @@ def test_classify_small():
     assert len(bip) == 3
     assert rep.all_bipartite_manifolds_are_lens
     assert rep.all_bipartite_are_lens
-    torsions = sorted(e.homology.torsion(1) for e in bip)
+    torsions = sorted(e.homology.groups[1][1] for e in bip)
     assert torsions == [(), (), (2,)]
     assert rep.nonbipartite_manifold_count == 0
     assert rep.sphere_bundle_candidates == 0
