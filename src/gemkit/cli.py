@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import generators, io, search
 from .core import ColoredGraph, is_bipartite, is_contracted, isomorphic
-from .embedding import semi_equivelar_report
+from .embedding import CyclicPermutation, EmbeddingReport, TypeSignature, semi_equivelar_report
 from .complexes import homology
 
 
@@ -31,15 +31,12 @@ def _read_gem(path: str) -> ColoredGraph:
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
+    text += "" if text.endswith("\n") else "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _indented(x, nl: str = "\n") -> str:
@@ -97,9 +94,28 @@ def _need(args, name: str) -> int:
 
 
 def _format_rho(rho_times_2: int) -> str:
-    if rho_times_2 % 2 == 0:
-        return str(rho_times_2 // 2)
-    return f"{rho_times_2}/2"
+    return f"{rho_times_2}/2" if rho_times_2 % 2 else str(rho_times_2 // 2)
+
+
+@functools.lru_cache
+def _report_template(d: int, signed: bool, orientable: bool) -> str:
+    """An ``analyze --json`` report as ``_indented`` writes it in the list, a
+    sample report's values turned into ``%d`` and ``%s`` slots."""
+    ints = tuple(range(d + 1))
+    sig = TypeSignature((2,) * (d + 1)) if signed else None
+    sample = EmbeddingReport(CyclicPermutation(ints), ints, 0, orientable, sig).to_json_dict()
+    slot = {int: "%d", str: "%s"}
+    for k, v in sample.items():
+        sample[k] = ["%d"] * len(v) if type(v) is list else slot.get(type(v), v)
+    return _indented(sample, "\n    ").replace('"%d"', "%d").replace('"%s"', "%s")
+
+
+@functools.lru_cache
+def _line_template(d: int, signed: bool) -> str:
+    """An ``analyze`` text report: arrangement, type, chi, rho, g-values."""
+    colors, gvals = (sep.join(["%d"] * (d + 1)) for sep in (",", ", "))
+    kind = f"({colors})" if signed else "-"
+    return f"epsilon ({colors}): type {kind}, chi %d, rho %s, g-values ({gvals})"
 
 
 def _cmd_analyze(args) -> int:
@@ -112,27 +128,33 @@ def _cmd_analyze(args) -> int:
             "bipartite": is_bipartite(g),
             "contracted": is_contracted(g),
             "bigons": args.bigons,
-            "reports": [r.to_json_dict() for r in rep.reports],
+            "reports": 0,
             "witness_rho_times_2": rep.witness_rho_times_2,
             "witness_permutations": [list(e.order) for e in rep.witness_permutations],
         }
-        print(_indented(payload))
+        # Strings escape their newlines, so only the key's own line matches.
+        head, _, tail = _indented(payload).partition('\n  "reports": 0')
+        d, bip = g.dimension, payload["bipartite"]
+        plain, signed = _report_template(d, False, bip), _report_template(d, True, bip)
+        block = ",\n    ".join(
+            signed % (*r.epsilon.order, *r.g_values, r.chi, r.rho_times_2, *r.signature.faces,
+                      _encode_str(str(r.signature)))
+            if r.signature else plain % (*r.epsilon.order, *r.g_values, r.chi, r.rho_times_2)
+            for r in rep.reports
+        )
+        print(head + '\n  "reports": [\n    ' + block + "\n  ]" + tail)
         return 0
     lines = [
         f"dimension {g.dimension}  vertices {g.vertex_count}  "
         f"bipartite {'yes' if is_bipartite(g) else 'no'}  "
         f"contracted {'yes' if is_contracted(g) else 'no'}"
     ]
+    plain, signed = _line_template(g.dimension, False), _line_template(g.dimension, True)
     for r in rep.reports:
-        faces = (
-            "(" + ",".join(str(f) for f in r.signature.faces) + ")"
-            if r.signature
-            else "-"
-        )
-        lines.append(
-            f"epsilon {r.epsilon}: type {faces}, chi {r.chi}, "
-            f"rho {_format_rho(r.rho_times_2)}, g-values {r.g_values}"
-        )
+        faces = r.signature.faces if r.signature else ()
+        lines.append((signed if faces else plain) % (
+            *r.epsilon.order, *faces, r.chi, _format_rho(r.rho_times_2), *r.g_values
+        ))
     if rep.witness_rho_times_2 is None:
         lines.append("semi-equivelar: no qualifying embedding")
     else:
@@ -146,12 +168,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    g = _read_gem(args.gem)
-    prof = homology(g)
-    if args.json:
-        print(json.dumps(prof.to_json()))
-    else:
-        print(str(prof))
+    prof = homology(_read_gem(args.gem))
+    print(json.dumps(prof.to_json()) if args.json else prof)
     return 0
 
 
@@ -191,11 +209,8 @@ def _cmd_search(args) -> int:
         return 0
     print(f"exhaustive: {'yes' if report.exhaustive else 'no'}")
     print(f"hits: {len(report.gems)}")
-    for entry in report.to_json_dict()["gems"]:
-        print(
-            f"  order {entry['order']}  bipartite {entry['bipartite']}  "
-            f"chi {entry['chi']}  vertex type {entry['vertex_type']}"
-        )
+    for order, bipartite, chi, vertex_type in report.hit_fields():
+        print(f"  order {order}  bipartite {bipartite}  chi {chi}  vertex type {vertex_type}")
     return 0
 
 
@@ -232,10 +247,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_export(args) -> int:
     g = _read_gem(args.gem)
-    if args.format == "dot":
-        _write_output(io.to_dot(g), args.output)
-    else:
-        _write_output(io.to_json(g), args.output)
+    _write_output(io.to_dot(g) if args.format == "dot" else io.to_json(g), args.output)
     return 0
 
 

@@ -431,7 +431,8 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     ``mats[c]`` still holds the undone matching of color c, so a key that
     read it would not be a function of the base (keyed that way, the
     all-squares order-16 search lost one of its 16 color-fixed classes).
-    The keys are local to one call.
+    The keys are local to one call.  A color's first completion has none
+    earlier to match, so it is keyed only once a second one comes.
 
     With ``spec.vertex_types``, every cycle of a cyclically consecutive
     pair that the search closes adds its length to a count at each of its
@@ -597,7 +598,8 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
         return c, m, states, comp, comp_size, least, [0] * len(comp_size)
 
     last = num_colors - 1
-    bases: set[tuple] = set()  # keys of the completions opened so far
+    bases: set = set()  # keys of the completions opened so far, c for color c's first
+    unkeyed: dict[int, Sequence] = {}  # color c's first completion until a second comes
     u = 0 if allowed[(0, 1)] is None or 2 in allowed[(0, 1)] else 1
     frames: list[tuple] = [(u, u + 1 - step, open_color(1), (), ())]
     while frames:
@@ -661,7 +663,11 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
             u = m.index(-1)
             frames.append((u, u + 1 - step, color, (), ()))
         elif c + 1 < num_colors:
-            key = _base_key(mats[: c + 1], step)
+            if unkeyed.get(c):  # a second completion of color c: key the first now
+                bases.add(_base_key(unkeyed[c], step))
+            later = c in unkeyed
+            unkeyed[c] = () if later else [tuple(x) for x in mats[: c + 1]]
+            key = _base_key(mats[: c + 1], step) if later else c  # no real key is an int
             if key not in bases:  # else the frame scans on: an earlier base was isomorphic
                 bases.add(key)
                 frames.append((0, 1 - step, open_color(c + 1), (), ()))
@@ -797,20 +803,27 @@ class SearchReport:
     exhaustive: bool
     gems: tuple[ColoredGraph, ...]
 
+    def hit_fields(self) -> list[tuple[int, bool, int, list[int]]]:
+        """Order, bipartiteness, chi and sorted vertex type of each hit."""
+        eps = CyclicPermutation(tuple(range(self.spec.colors)))
+        return [
+            (g.vertex_count, is_bipartite(g), euler_characteristic(g, eps),
+             sorted(face_cycle_type(g, eps, 0)))
+            for g in self.gems
+        ]
+
     def to_json_dict(self) -> dict:
-        entries = []
-        for g in self.gems:
-            eps = CyclicPermutation(tuple(range(g.dimension + 1)))
-            entries.append(
-                {
-                    "canonical": canonical_form(g, "color-permuting").hex(),
-                    "order": g.vertex_count,
-                    "matchings": [list(m) for m in g.matchings],
-                    "bipartite": is_bipartite(g),
-                    "chi": euler_characteristic(g, eps),
-                    "vertex_type": sorted(face_cycle_type(g, eps, 0)),
-                }
-            )
+        entries = [
+            {
+                "canonical": canonical_form(g, "color-permuting").hex(),
+                "order": order,
+                "matchings": [list(m) for m in g.matchings],
+                "bipartite": bipartite,
+                "chi": chi,
+                "vertex_type": vertex_type,
+            }
+            for g, (order, bipartite, chi, vertex_type) in zip(self.gems, self.hit_fields())
+        ]
         return {
             "spec": self.spec.to_json_dict(),
             "exhaustive": self.exhaustive,

@@ -489,3 +489,59 @@ def reference_dedup_canonical(hits) -> list[ColoredGraph]:
     for g in hits:
         by_form.setdefault(canonical_form(g, "color-permuting"), g)
     return [by_form[k] for k in sorted(by_form)]
+
+
+def reference_analyze_output(g: ColoredGraph, bigons: str, as_json: bool) -> str:
+    """The stdout of ``gemkit analyze`` on ``g``, written report by report.
+
+    The CLI's writer before it filled one template per report shape, kept
+    verbatim apart from taking the gem and flags as arguments and holding
+    its own rho formatter: ``--json`` goes through ``cli._indented`` with
+    each report's ``to_json_dict``, text through one f-string per report.
+    """
+    from gemkit.cli import _indented
+    from gemkit.core import is_bipartite, is_contracted
+    from gemkit.embedding import semi_equivelar_report
+
+    def _format_rho(rho_times_2: int) -> str:
+        if rho_times_2 % 2 == 0:
+            return str(rho_times_2 // 2)
+        return f"{rho_times_2}/2"
+
+    rep = semi_equivelar_report(g, bigons=bigons)
+    if as_json:
+        payload = {
+            "dimension": g.dimension,
+            "vertices": g.vertex_count,
+            "bipartite": is_bipartite(g),
+            "contracted": is_contracted(g),
+            "bigons": bigons,
+            "reports": [r.to_json_dict() for r in rep.reports],
+            "witness_rho_times_2": rep.witness_rho_times_2,
+            "witness_permutations": [list(e.order) for e in rep.witness_permutations],
+        }
+        return _indented(payload) + "\n"
+    lines = [
+        f"dimension {g.dimension}  vertices {g.vertex_count}  "
+        f"bipartite {'yes' if is_bipartite(g) else 'no'}  "
+        f"contracted {'yes' if is_contracted(g) else 'no'}"
+    ]
+    for r in rep.reports:
+        faces = (
+            "(" + ",".join(str(f) for f in r.signature.faces) + ")"
+            if r.signature
+            else "-"
+        )
+        lines.append(
+            f"epsilon {r.epsilon}: type {faces}, chi {r.chi}, "
+            f"rho {_format_rho(r.rho_times_2)}, g-values {r.g_values}"
+        )
+    if rep.witness_rho_times_2 is None:
+        lines.append("semi-equivelar: no qualifying embedding")
+    else:
+        eps = ", ".join(str(e) for e in rep.witness_permutations)
+        lines.append(
+            f"semi-equivelar witness: rho {_format_rho(rep.witness_rho_times_2)} "
+            f"via {eps}"
+        )
+    return "\n".join(lines) + "\n"

@@ -1,11 +1,12 @@
 import hashlib
 import io as stdio
+import itertools
 import json
 import random
 
 import pytest
 
-from gemkit import cli, generators
+from gemkit import cli, generators, search
 from gemkit import io as gio
 from gemkit.generators import (
     catalog,
@@ -15,7 +16,7 @@ from gemkit.generators import (
     standard_sphere,
 )
 
-from helpers import random_gem
+from helpers import random_bipartite_gem, random_gem, reference_analyze_output
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -342,6 +343,23 @@ def test_search_text_output_lists_the_hits(capsys, monkeypatch, tmp_path):
     )
 
 
+def test_search_text_output_computes_no_extra_canonical_form(capsys, monkeypatch, tmp_path):
+    # Text mode prints no canonical form, so it computes none beyond the
+    # ones search_report's dedup needs.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"colors": 3, "order": 12, "vertex_types": [4, 6, 12]}))
+    calls = []
+    real = search.canonical_form
+    monkeypatch.setattr(search, "canonical_form", lambda g, mode: calls.append(mode) or real(g, mode))
+    search.search_report(search.SearchSpec.from_json_dict(json.loads(path.read_text())))
+    dedup = len(calls)
+    assert dedup > 0
+    calls.clear()
+    code, out, _ = run(capsys, monkeypatch, ["search", "--spec", str(path)])
+    assert code == 0 and "hits: 3" in out
+    assert len(calls) == dedup
+
+
 @pytest.mark.parametrize("vertex_types", [0, False, "", {}, []])
 def test_search_rejects_falsy_vertex_types(capsys, monkeypatch, tmp_path, vertex_types):
     path = tmp_path / "spec.json"
@@ -485,3 +503,49 @@ def test_indented_output_pinned(capsys, monkeypatch, tmp_path, argv, digest):
     code, out, _ = run(capsys, monkeypatch, [a.format(spec=spec) for a in argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _render_gems():
+    rng = random.Random(32)
+    for d in range(1, 8):
+        n = 20 if d == 7 else 8 + 2 * d
+        yield f"random-d{d}", random_gem(rng, d, n)
+        yield f"bipartite-d{d}", random_bipartite_gem(rng, d, n)
+        yield f"sphere-{d}", standard_sphere(d)
+        if d >= 3:
+            for twisted in (False, True):
+                yield f"sphere-circle-{d}-{twisted}", sphere_times_circle_gem(d, twisted)
+    yield "no-qualifying", random_gem(random.Random(0), 3, 8)
+
+
+RENDER_GEMS = list(_render_gems())
+
+
+@pytest.mark.parametrize("gem", [g for _, g in RENDER_GEMS], ids=[name for name, _ in RENDER_GEMS])
+def test_analyze_output_equals_the_per_report_writer(capsys, monkeypatch, gem):
+    text = gio.to_json(gem)
+    for bigons in ("include", "exclude"):
+        for as_json in (False, True):
+            argv = ["analyze", "--bigons", bigons] + (["--json"] if as_json else [])
+            code, out, _ = run(capsys, monkeypatch, argv, stdin=text)
+            assert code == 0
+            # Compare line by line: a diff of the whole output is slow to print.
+            got = out.split("\n")
+            want = reference_analyze_output(gem, bigons, as_json).split("\n")
+            pairs = enumerate(itertools.zip_longest(got, want))
+            first = next((i for i, (a, b) in pairs if a != b), None)
+            assert first is None, (argv, first, got[first:][:1], want[first:][:1])
+
+
+def test_render_gems_cover_every_report_shape():
+    # For d = 3..7 the gems above hold reports with and without a signature,
+    # on orientable and on non-orientable gems; the last gem has no witness.
+    from gemkit.embedding import semi_equivelar_report
+
+    shapes = set()
+    for name, g in RENDER_GEMS:
+        rep = semi_equivelar_report(g, "include")
+        if name == "no-qualifying":
+            assert rep.witness_rho_times_2 is None
+        shapes |= {(g.dimension, r.signature is not None, r.orientable) for r in rep.reports}
+    assert set(itertools.product(range(3, 8), (False, True), (False, True))) <= shapes

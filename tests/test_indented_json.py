@@ -1,5 +1,6 @@
-"""The CLI prints indented JSON through one writer, ``cli._indented``, whose
-output equals ``json.dumps(x, indent=2)`` byte for byte.
+"""One writer, ``cli._indented``, defines the CLI's indented JSON, and its
+output equals ``json.dumps(x, indent=2)`` byte for byte.  ``analyze``
+fills its reports into templates that this writer rendered.
 
 Outside the writer no call in the package passes ``indent=`` at all, not
 even an ``indent`` parameter of the function it is in.

@@ -1178,3 +1178,23 @@ def test_classify_report_json():
     assert data["count_color_permuting"] == 6
     assert len(data["entries"]) == 6
     assert all("homology" in e for e in data["entries"])
+
+
+def test_first_base_of_a_color_is_keyed_only_when_a_second_comes(monkeypatch):
+    # A search stopped at its first hit keys no base; a full search keys as
+    # many as when every completion was keyed at once (3 and 80 then).
+    from gemkit import generators
+
+    calls = []
+    real = search._base_key
+    monkeypatch.setattr(search, "_base_key", lambda slots, step: calls.append(step) or real(slots, step))
+    monkeypatch.setattr(generators, "_cache", {})
+    generators.catalog("torus-4.6.12")
+    assert calls == []
+    for spec, keyed in (
+        (SearchSpec(colors=3, order=12, vertex_types=(4, 6, 12)), 3),
+        (SearchSpec(colors=4, order=8), 80),
+    ):
+        calls.clear()
+        search_report(spec)
+        assert len(calls) == keyed
