@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Sequence
 
 from . import generators, io, search
@@ -39,49 +38,26 @@ def _write_output(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _indented(x, nl: str = "\n") -> str:
-    """``json.dumps(x, indent=2)``, byte for byte, without the pure-Python
-    encoder that ``indent`` forces.  Ints, strs, None, bools, non-empty lists,
-    tuples and str-keyed dicts are written here; anything else goes to
-    ``json.dumps``, re-indented to its depth (strings escape their newlines).
-    """
-    t = type(x)
-    if t is int:
-        return int.__repr__(x)
-    if t is str:
-        return _encode_str(x)
-    if x is None or t is bool:
-        return "null" if x is None else "true" if x else "false"
-    inner = nl + "  "
-    if (t is list or t is tuple) and x:
-        if all(type(v) is int for v in x):
-            body = map(int.__repr__, x)
-        else:
-            body = [_indented(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(body) + nl + "]"
-    if t is dict and x and all(type(k) is str for k in x):
-        body = [_encode_str(k) + ": " + _indented(v, inner) for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(body) + nl + "}"
-    return json.dumps(x, indent=2).replace("\n", nl)
+# Each family's builder in ``generators`` and the flags it reads, in argument order.
+_FAMILIES = {
+    "sphere": ("standard_sphere", ("d",)),
+    "lens": ("lens_gem", ("p", "q", "k")),
+    "rp2-sum": ("rp2_sum_gem", ("n",)),
+    "torus-sum": ("torus_sum_gem", ("n",)),
+    "sphere-circle": ("sphere_times_circle_gem", ("d", "twisted")),
+}
 
 
 def _cmd_gen(args) -> int:
     family = args.family
-    if family == "sphere":
-        g = generators.standard_sphere(_need(args, "d"))
-    elif family == "lens":
-        g = generators.lens_gem(_need(args, "p"), _need(args, "q"), _need(args, "k"))
-    elif family == "rp2-sum":
-        g = generators.rp2_sum_gem(_need(args, "n"))
-    elif family == "torus-sum":
-        g = generators.torus_sum_gem(_need(args, "n"))
-    elif family == "sphere-circle":
-        g = generators.sphere_times_circle_gem(_need(args, "d"), args.twisted)
-    else:
-        raise ValueError(
-            f"unknown family {family!r}; choose from sphere, lens, "
-            "rp2-sum, torus-sum, sphere-circle"
-        )
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {', '.join(_FAMILIES)}")
+    build, reads = _FAMILIES[family]
+    for name in ("d", "p", "q", "k", "n", "twisted"):
+        value = getattr(args, name)
+        if name not in reads and value is not None and value is not False:
+            raise ValueError(f"family {family!r} takes no --{name}")
+    g = getattr(generators, build)(*(_need(args, name) for name in reads))
     _write_output(io.to_json(g), args.output)
     return 0
 
@@ -99,15 +75,15 @@ def _format_rho(rho_times_2: int) -> str:
 
 @functools.lru_cache
 def _report_template(d: int, signed: bool, orientable: bool) -> str:
-    """An ``analyze --json`` report as ``_indented`` writes it in the list, a
-    sample report's values turned into ``%d`` and ``%s`` slots."""
+    """An ``analyze --json`` report as ``json.dumps(indent=2)`` writes it in
+    the list, a sample report's values turned into ``%d`` and ``"%s"`` slots."""
     ints = tuple(range(d + 1))
     sig = TypeSignature((2,) * (d + 1)) if signed else None
     sample = EmbeddingReport(CyclicPermutation(ints), ints, 0, orientable, sig).to_json_dict()
     slot = {int: "%d", str: "%s"}
     for k, v in sample.items():
         sample[k] = ["%d"] * len(v) if type(v) is list else slot.get(type(v), v)
-    return _indented(sample, "\n    ").replace('"%d"', "%d").replace('"%s"', "%s")
+    return json.dumps(sample, indent=2).replace("\n", "\n    ").replace('"%d"', "%d")
 
 
 @functools.lru_cache
@@ -133,12 +109,12 @@ def _cmd_analyze(args) -> int:
             "witness_permutations": [list(e.order) for e in rep.witness_permutations],
         }
         # Strings escape their newlines, so only the key's own line matches.
-        head, _, tail = _indented(payload).partition('\n  "reports": 0')
+        head, _, tail = json.dumps(payload, indent=2).partition('\n  "reports": 0')
         d, bip = g.dimension, payload["bipartite"]
         plain, signed = _report_template(d, False, bip), _report_template(d, True, bip)
         block = ",\n    ".join(
             signed % (*r.epsilon.order, *r.g_values, r.chi, r.rho_times_2, *r.signature.faces,
-                      _encode_str(str(r.signature)))
+                      r.signature)
             if r.signature else plain % (*r.epsilon.order, *r.g_values, r.chi, r.rho_times_2)
             for r in rep.reports
         )
@@ -205,7 +181,7 @@ def _cmd_search(args) -> int:
     spec = search.SearchSpec.from_json_dict(data)
     report = search.search_report(spec, max_order=args.budget)
     if args.json:
-        print(_indented(report.to_json_dict()))
+        print(json.dumps(report.to_json_dict(), indent=2))
         return 0
     print(f"exhaustive: {'yes' if report.exhaustive else 'no'}")
     print(f"hits: {len(report.gems)}")
@@ -217,7 +193,7 @@ def _cmd_search(args) -> int:
 def _cmd_types(args) -> int:
     solutions = search.enumerate_embedding_types(args.chi, args.qmax)
     if args.json:
-        print(_indented([s.to_json_dict() for s in solutions]))
+        print(json.dumps([s.to_json_dict() for s in solutions], indent=2))
         return 0
     print(f"chi {args.chi}: {len(solutions)} embedding types")
     width = max((len(s.type_str()) for s in solutions), default=4)
@@ -228,9 +204,11 @@ def _cmd_types(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.name is None:
+        if args.p is not None:
+            raise ValueError("catalog --p needs --name")
         manifest = generators.catalog_manifest()
         if args.json:
-            print(_indented(manifest))
+            print(json.dumps(manifest, indent=2))
             return 0
         for entry in manifest:
             flag = "" if entry["enabled"] else "  [disabled]"

@@ -17,7 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     ColoredGraph,
@@ -347,8 +347,7 @@ def _witness_differences(table: dict[tuple[int, int], list[int]]) -> tuple[dict,
     return rows[0], (rows + [zero])[1]
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """One arrangement's g-values, chi, orientability and common face-cycle
     type (None if the vertices differ); 2 - chi is twice the genus.
     """
@@ -362,10 +361,6 @@ class EmbeddingReport:
     @property
     def rho_times_2(self) -> int:
         return 2 - self.chi
-
-    @property
-    def rho(self) -> Fraction:
-        return Fraction(self.rho_times_2, 2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -392,12 +387,6 @@ class SemiEquivelarReport:
     reports: tuple[EmbeddingReport, ...]
     witness_rho_times_2: Optional[int]
     witness_permutations: tuple[CyclicPermutation, ...]
-
-    @property
-    def witness_rho(self) -> Optional[Fraction]:
-        if self.witness_rho_times_2 is None:
-            return None
-        return Fraction(self.witness_rho_times_2, 2)
 
 
 def semi_equivelar_report(

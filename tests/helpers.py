@@ -496,10 +496,10 @@ def reference_analyze_output(g: ColoredGraph, bigons: str, as_json: bool) -> str
 
     The CLI's writer before it filled one template per report shape, kept
     verbatim apart from taking the gem and flags as arguments and holding
-    its own rho formatter: ``--json`` goes through ``cli._indented`` with
-    each report's ``to_json_dict``, text through one f-string per report.
+    its own rho formatter and writing ``--json`` with the standard library's
+    encoder: ``json.dumps(indent=2)`` of a payload holding each report's
+    ``to_json_dict``, text through one f-string per report.
     """
-    from gemkit.cli import _indented
     from gemkit.core import is_bipartite, is_contracted
     from gemkit.embedding import semi_equivelar_report
 
@@ -520,7 +520,7 @@ def reference_analyze_output(g: ColoredGraph, bigons: str, as_json: bool) -> str
             "witness_rho_times_2": rep.witness_rho_times_2,
             "witness_permutations": [list(e.order) for e in rep.witness_permutations],
         }
-        return _indented(payload) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     lines = [
         f"dimension {g.dimension}  vertices {g.vertex_count}  "
         f"bipartite {'yes' if is_bipartite(g) else 'no'}  "

@@ -61,6 +61,34 @@ def test_gen_unknown_family_and_missing_flag(capsys, monkeypatch):
     assert "needs --q" in err
 
 
+# Each family's flags as the README lists them, with values it accepts.
+GEN_FAMILIES = {
+    "sphere": ["--d", "2"],
+    "lens": ["--p", "2", "--q", "1", "--k", "2"],
+    "rp2-sum": ["--n", "1"],
+    "torus-sum": ["--n", "1"],
+    "sphere-circle": ["--d", "3", "--twisted"],
+}
+GEN_FLAGS = {"--d": "3", "--p": "3", "--q": "1", "--k": "2", "--n": "0", "--twisted": None}
+UNREAD_GEN_FLAGS = [
+    (family, flag)
+    for family, argv in GEN_FAMILIES.items()
+    for flag in GEN_FLAGS
+    if flag not in argv
+]
+
+
+@pytest.mark.parametrize(
+    "family, flag", UNREAD_GEN_FLAGS, ids=[f"{f}{x}" for f, x in UNREAD_GEN_FLAGS]
+)
+def test_gen_refuses_a_flag_the_family_does_not_read(capsys, monkeypatch, family, flag):
+    extra = [flag] + ([GEN_FLAGS[flag]] if GEN_FLAGS[flag] else [])
+    code, out, err = run(capsys, monkeypatch, ["gen", family] + GEN_FAMILIES[family] + extra)
+    assert code == 1
+    assert out == ""
+    assert f"takes no {flag}" in err
+
+
 def test_gen_rp2_sum_beyond_the_recursion_limit(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, ["gen", "rp2-sum", "--n", "700"])
     assert code == 0
@@ -250,6 +278,14 @@ def test_catalog_listing_and_build(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["catalog", "--name", "rp2-4.6.10"])
     assert code == 1
     assert "disabled" in err
+
+
+@pytest.mark.parametrize("argv", [["catalog", "--p", "4"], ["catalog", "--list", "--p", "4"]])
+def test_catalog_p_without_name_is_refused(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert code == 1
+    assert out == ""
+    assert "--p needs --name" in err
 
 
 def test_catalog_list_and_name_are_a_usage_error(capsys):

@@ -6,6 +6,7 @@ from gemkit import embedding
 from gemkit.core import ColoredGraph, NotConnectedError
 from gemkit.embedding import (
     CyclicPermutation,
+    EmbeddingReport,
     TypeSignature,
     all_cyclic_permutations,
     euler_characteristic,
@@ -281,9 +282,17 @@ def test_semi_equivelar_report_sphere():
 def test_semi_equivelar_report_projective_plane():
     rep = semi_equivelar_report(rp2_sum_gem(1))
     assert rep.witness_rho_times_2 == 1
-    assert rep.witness_rho == 0.5
     assert rep.reports[0].signature == TypeSignature.from_tuple((4, 4, 4))
     assert not rep.reports[0].orientable
+
+
+def test_embedding_report_is_immutable_and_hashable():
+    rep = semi_equivelar_report(lens_gem(2, 1, 2)).reports[0]
+    with pytest.raises(AttributeError):
+        rep.chi = 5
+    assert rep.chi == 0
+    assert hash(rep) == hash(EmbeddingReport(*rep))
+    assert len({rep, EmbeddingReport(*rep)}) == 1
 
 
 def test_report_json_shape():
