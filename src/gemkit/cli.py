@@ -208,16 +208,20 @@ def _cmd_catalog(args) -> int:
             raise ValueError("catalog --p needs --name")
         manifest = generators.catalog_manifest()
         if args.json:
-            print(json.dumps(manifest, indent=2))
+            _write_output(json.dumps(manifest, indent=2), args.output)
             return 0
+        lines = []
         for entry in manifest:
             flag = "" if entry["enabled"] else "  [disabled]"
             parm = " (parametric in p)" if entry["parametric"] else ""
-            print(
+            lines.append(
                 f"{entry['name']:<14} {entry['surface']:<17} faces {entry['faces']:<9} "
                 f"order {entry['order']}{parm}{flag}"
             )
+        _write_output("\n".join(lines), args.output)
         return 0
+    if args.json:
+        raise ValueError("catalog --json takes no --name: a gem is always written as JSON")
     g = generators.catalog(args.name, p=args.p)
     _write_output(io.to_json(g), args.output)
     return 0

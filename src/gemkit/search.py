@@ -18,10 +18,14 @@ cycle of a cyclically consecutive color pair adds its length to a count at
 every vertex on it when it closes, and a vertex holding more cycles of one
 length than the multiset allows cuts the branch.  The counts also bound
 each open path of such a pair: a path cannot outgrow the longest cycle
-that every vertex on it may still lie on.  At the last color, an edge
-that closes a component short of every vertex cuts the branch (the seal
-cut).  So every graph the search completes is connected and of the vertex
-type (proofs in ``_matching_dfs``); ``_run_search`` tests the rest,
+that every vertex on it may still lie on.  At the last color each vertex
+owes its type exactly two lengths, one per open pair, so the shorter of an
+edge's two new paths must fit the shorter length each end owes, and a
+path whose twin in the other pair outgrew that length is held to it (the
+coupled cut).  At the last color, an edge that closes a component short of
+every vertex cuts the branch too (the seal cut).  So every graph the
+search completes is connected and of the vertex type (proofs in
+``_matching_dfs``); ``_run_search`` tests the rest,
 bipartiteness for ``"none"`` and chi, walking each pair once.  A
 bipartite-only spec builds no odd cycle at all: it covers only the parity
 normal form, in which every edge joins an even and an odd vertex.
@@ -456,6 +460,29 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     cycles closed later in the color would lower them further, so they
     stay sound bounds.  An untracked pair's room is its longest length.
 
+    The coupled cut couples the two rooms of a vertex at the last color c
+    of a vertex-type search (forward checking over the type: Haralick &
+    Elliott, Artif. Intell. 14 (1980)).  Exactly two tracked pairs are open
+    then, (0, c) and (c-1, c); every vertex x lies on one counted cycle of
+    each other tracked pair, so it owes the two lengths r1 >= r2 of its type
+    beyond its counts (``second_owed`` gives r2, and 0 when a length above n
+    leaves it fewer than two: then no leaf exists and everything is cut).
+    While x is free in color c its counts stay as they were when c opened,
+    since each open pair's cycle through x needs x's color-c edge.  For a
+    candidate uv let s_a and s_b be its sizes in the two pairs: the merged
+    path's ``plen[u] + plen[v] + 2`` vertices, or the length ``plen[u] + 1``
+    of a cycle uv closes.  In a leaf below, u lies on one cycle of each open
+    pair, each containing u's path there, and their lengths are exactly u's
+    r1 and r2; both pass through v too.  The shorter of the two has length
+    r2 and at least the smaller of s_a and s_b vertices, so a candidate
+    whose smaller size exceeds r2 at u or at v is cut.  And if s_b exceeds
+    r2 at an end x, pair b's cycle has x's r1 and pair a's has x's r2: the
+    room of the path uv merges in pair a falls to that r2, set with the
+    merge and undone by its record (a cycle uv closes there is checked by
+    the counts).  Both steps drop only branches without a leaf, so the
+    hits, their order and the leaves reached are those of the search
+    without them.
+
     The seal cut: at the last color, an edge uv that closes a component
     of fewer than n vertices with no vertex left free in the last color
     cuts the branch.  Such an edge closes u's cycle in every pair (j,
@@ -554,8 +581,18 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
                 return f
         return 0
 
+    def second_owed(v: int) -> int:
+        """The shorter of the two lengths v owes at the last color (0 if fewer)."""
+        owed = 0
+        for f in free_desc:
+            if f <= n:
+                owed += cap[f] - seen[v][f]
+                if owed > 1:
+                    return f
+        return 0
+
     def open_color(c: int) -> tuple:
-        """Color c's empty matching, path states and components.
+        """Color c's empty matching, path states, components and coupling.
 
         A path state of pair (j, c) is (end, plen, lens, room, mj): ``end``
         pairs the two ends of each path; ``plen`` holds its edge count and
@@ -568,6 +605,10 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
         v's component; ``comp_size``, ``least`` and ``touched`` (color-c edge
         ends placed in it) are per component.  Color 3 has no orbit rule:
         its table is one component, touched from the start.
+
+        At the last color of a vertex-type search, ``coupled`` holds the
+        states of its two tracked pairs and ``second_owed`` of every vertex;
+        otherwise it is None.
         """
         m = [-1] * n
         mats[c:] = [m]
@@ -581,8 +622,12 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
                 r = [top] * n if mj is None else [free_room(v, top) for v in range(n)]
                 room = [min(r[v], r[w]) for v, w in enumerate(mats[j])]
                 states.append((list(mats[j]), [1] * n, lens, room, mj))
+        coupled = None
+        if c == last and tracked:
+            pair_a, pair_b = (s for s in states if s[4] is not None)
+            coupled = pair_a, pair_b, [second_owed(v) for v in range(n)]
         if c > 2:
-            return c, m, states, [0] * n, [n], [0], [1]
+            return c, m, states, [0] * n, [n], [0], [1], coupled
         comp = [-1] * n
         comp_size: list[int] = []
         least: list[int] = []
@@ -595,7 +640,7 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
                     comp[w] = k
                     comp_size[k] += 1
                     w, j = mats[j][w], (j + 1) % c
-        return c, m, states, comp, comp_size, least, [0] * len(comp_size)
+        return c, m, states, comp, comp_size, least, [0] * len(comp_size), coupled
 
     last = num_colors - 1
     bases: set = set()  # keys of the completions opened so far, c for color c's first
@@ -604,7 +649,7 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
     frames: list[tuple] = [(u, u + 1 - step, open_color(1), (), ())]
     while frames:
         u, v, color, merged, counted = frames[-1]
-        c, m, states, comp, comp_size, least, touched = color
+        c, m, states, comp, comp_size, least, touched, coupled = color
         ku = comp[u]
         if m[u] >= 0:  # undo the edge uv this frame placed
             for end, plen, room, a, b in merged:
@@ -636,7 +681,14 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
                     closes += 1
                 elif (verts := plen[u] + plen[v] + 2) > room[u] or verts > room[v]:
                     break
-            else:  # no path cut: try the vertex-type cut, then the seal cut
+            else:  # no path cut: try the coupled, vertex-type and seal cuts
+                if coupled:
+                    (ea, pa, _, ra, _), (eb, pb, _, rb, _), second = coupled
+                    sa = pa[u] + 1 if ea[u] == v else pa[u] + pa[v] + 2
+                    sb = pb[u] + 1 if eb[u] == v else pb[u] + pb[v] + 2
+                    lo = sa if sa < sb else sb
+                    if lo > second[u] or lo > second[v]:
+                        continue
                 counted = count_closed(u, v, m, states) if closes and tracked else ()
                 if counted is None:
                     continue
@@ -658,6 +710,12 @@ def _matching_dfs(spec: SearchSpec) -> Iterator[ColoredGraph]:
                 plen[a] = plen[b] = plen[u] + plen[v] + 1
                 room[a] = room[b] = room[u] if room[u] < room[v] else room[v]
                 merged.append((end, plen, room, a, b))
+        if coupled and sa != sb:  # an end's r2 below the larger size holds the smaller pair
+            end, room, big = (ea, ra, sb) if sa < sb else (eb, rb, sa)
+            if end[u] != v:  # the smaller pair merged a path
+                for x in (u, v):
+                    if big > second[x] and second[x] < room[end[u]]:
+                        room[end[u]] = room[end[v]] = second[x]
         frames[-1] = (u, v, color, merged, counted)
         if -1 in m:
             u = m.index(-1)

@@ -257,6 +257,17 @@ def test_search_spec_with_an_empty_length_list(capsys, monkeypatch, tmp_path):
     assert err == ""
 
 
+def test_search_with_a_face_longer_than_the_order(capsys, monkeypatch, tmp_path):
+    # A length above the order leaves each vertex owing fewer than two
+    # lengths at the last color: no gem, and no exception.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"colors": 3, "order": 8, "vertex_types": [4, 4, 10]}))
+    code, out, err = run(capsys, monkeypatch, ["search", "--spec", str(spec), "--json"])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["exhaustive"], data["hit_count"]) == (True, 0)
+
+
 def test_search_budget_error(capsys, monkeypatch, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"colors": 3, "order": 40}))
@@ -286,6 +297,24 @@ def test_catalog_p_without_name_is_refused(capsys, monkeypatch, argv):
     assert code == 1
     assert out == ""
     assert "--p needs --name" in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_catalog_list_is_written_to_the_output_file(capsys, monkeypatch, tmp_path, fmt):
+    _, listing, _ = run(capsys, monkeypatch, ["catalog", "--list", *fmt])
+    target = tmp_path / "catalog.txt"
+    code, out, err = run(capsys, monkeypatch, ["catalog", "--list", *fmt, "-o", str(target)])
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == listing
+    assert "torus-6.6.6" in listing
+
+
+def test_catalog_json_with_name_is_refused(capsys, monkeypatch):
+    # A gem is always written as JSON, so the flag would be ignored.
+    code, out, err = run(capsys, monkeypatch, ["catalog", "--name", "s2-4.4.4", "--json"])
+    assert code == 1
+    assert out == ""
+    assert "--json takes no --name" in err
 
 
 def test_catalog_list_and_name_are_a_usage_error(capsys):

@@ -17,7 +17,7 @@ from gemkit.embedding import (
     euler_characteristic,
     face_cycle_type,
 )
-from gemkit.complexes import homology
+from gemkit.complexes import homology, manifold_check
 from gemkit import search
 from gemkit.search import (
     BudgetExceededError,
@@ -595,6 +595,61 @@ def test_room_cut_hit_lists_pinned(spec, count, digest, leaves, classes):
     assert (len(now), _json_digest(now), len(reached)) == (count, digest, leaves)
     if classes is not None:
         assert len(search._dedup_canonical(hits)) == classes
+
+
+# The coupled cut (at the last color, the shorter of uv's two path sizes is
+# at most the second length each end still owes) brought these searches
+# into tier-1.  The first two are pinned from the search without that cut,
+# which took about 14 s and 19 s for them.
+def test_coupled_cut_keeps_the_order_24_4_6_12_hit_list():
+    spec = SearchSpec(colors=3, order=24, vertex_types=(4, 6, 12), bipartite="none")
+    hits, reached = _counted_dfs(spec)
+    now = [[list(m) for m in g.matchings] for g in hits]
+    assert (len(now), _json_digest(now), len(reached)) == (
+        108,
+        "03ad73d7d4b1fc493b82ea055718995b483cacaeac1527d721c3d9785a491bbc",
+        126,
+    )
+    assert len(search._dedup_canonical(hits)) == 4
+
+
+def test_coupled_cut_keeps_the_first_rp2_4_6_10_hit():
+    # The search of the disabled catalog entry rp2-4.6.10 (order 60).
+    spec = SearchSpec(colors=3, order=60, vertex_types=(4, 6, 10), bipartite="none")
+    g = first_gem(spec, max_order=60)
+    assert _json_digest([list(m) for m in g.matchings]) == (
+        "019ccbff097816ec7213e067d38e5913bac1f1629b7c395f8f985ae84ea5a73f"
+    )
+
+
+def test_first_s2_4_6_10_hit_is_a_sphere_of_its_type():
+    # The search of the disabled catalog entry s2-4.6.10 (order 120) did not
+    # return within 300 s without the cut, so its first hit has no earlier
+    # pin; the oracles check it instead.
+    spec = SearchSpec(colors=3, order=120, vertex_types=(4, 6, 10), bipartite="only")
+    g = first_gem(spec, max_order=120)
+    pairs = ((0, 1), (1, 2), (0, 2))
+    assert oracle_component_count(g, g.colors) == 1
+    assert oracle_is_bipartite(g)
+    assert set(_oracle_vertex_types(g, pairs)) == {(4, 6, 10)}
+    assert oracle_chi_from_counts(g, pairs) == 2
+    assert manifold_check(g).kind == "certified-surface"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(colors=3, order=8, vertex_types=(4, 4, 10)),
+        SearchSpec(colors=3, order=12, vertex_types=(4, 6, 20)),
+        SearchSpec(colors=4, order=12, vertex_types=(4, 4, 6, 20)),
+    ],
+    ids=_spec_id,
+)
+def test_a_face_longer_than_the_order_leaves_an_empty_search(spec):
+    # At the last color each vertex owes fewer than two lengths: no leaf.
+    report = search_report(spec)
+    assert report.exhaustive
+    assert report.gems == ()
 
 
 def test_bigon_free_hits_take_the_edge_1_2():
