@@ -10,12 +10,17 @@ merged from a smaller one with one union-find pass instead of walked.
 
 The complex keeps each label set's cell count and each boundary map as
 sparse columns, at most h+1 entries +-1 per h-cell; the cell tuples and
-dense matrices are views built on request.  Homology is
-computed by Smith normal form over exact integers, which at these sizes
-needs no modular tricks: from the top dimension down, the columns go in
-as the rows of the transposed map, every unit pivot is eliminated on those
-sparse rows, the few rows left are reduced in place by gcd steps on least
-entries, and the cells of the unit pivots leave the next map down.
+dense matrices are views built on request.  Homology reads the outer two
+maps' Smith normal forms off the gem: d_d is its vertex-edge incidence
+matrix up to signs, with factors 1 and one 2 iff it is not bipartite, and
+d_1 the incidence matrix of the connected 1-skeleton, all factors 1.  So
+only the maps d_(d-1) .. d_2 get columns and are reduced, by Smith normal
+form over exact integers, which at these sizes needs no modular tricks:
+from the top down, the columns go in as the rows of the transposed map,
+every unit pivot is eliminated on those sparse rows, the few rows left are
+reduced in place by gcd steps on least entries, and the cells of the unit
+pivots leave the next map down, as the edges of a spanning tree of the gem
+leave d_(d-1).
 The manifold check recurses through the residues on all colors but one,
 certifying each residue component once per call.  A component of regular
 genus 0 (the arrangement search's first hit) is a sphere (Ferri &
@@ -90,9 +95,8 @@ class PseudoComplex:
 
 def build_complex(g: ColoredGraph) -> PseudoComplex:
     """Glue one d-simplex per vertex along the colored edges."""
-    if not g.is_connected():
-        raise NotConnectedError("the complex is built for connected graphs")
-    return PseudoComplex(g.dimension, *_layers(g))
+    counts, columns, _ = _layers(g, range(1, len(g.matchings)))
+    return PseudoComplex(g.dimension, counts, columns)
 
 
 def _partition_table(g: ColoredGraph) -> list[tuple[list[int], list[int]]]:
@@ -138,15 +142,20 @@ def _partition_table(g: ColoredGraph) -> list[tuple[list[int], list[int]]]:
     return table
 
 
-def _layers(g: ColoredGraph) -> tuple[tuple, tuple]:
-    """Cell counts per label set and boundary columns of every dimension.
+def _layers(g: ColoredGraph, span: range) -> tuple[tuple, tuple, dict[int, tuple[int, list[int]]]]:
+    """Cell counts per label set, and boundary columns of the dimensions in ``span``.
 
     One pass takes the label sets C, by bitmask, one dimension at a time.
     C records its first cell and the residue ids of the partition on its
-    complementary colors, then appends its component count.  From
-    dimension 1 up, its columns (one per component, read at the least
-    vertex) come from the records its facets made one dimension earlier.
+    complementary colors, then appends its component count.  In the
+    dimensions of ``span`` (others are left empty; dimension 0 has none),
+    its columns (one per component, read at the least vertex) come from
+    the records its facets made one dimension earlier.  Returns the
+    counts, the columns and the records, by label set bitmask.  Raises
+    ``NotConnectedError`` for a disconnected graph.
     """
+    if not g.is_connected():
+        raise NotConnectedError("the complex is built for connected graphs")
     table = _partition_table(g)
     full = (1 << len(g.matchings)) - 1
     records: dict[int, tuple[int, list[int]]] = {}
@@ -157,13 +166,14 @@ def _layers(g: ColoredGraph) -> tuple[tuple, tuple]:
             mask = sum(1 << c for c in C)
             idx, least = table[full ^ mask]
             records[mask] = (offset, idx)
-            facets = [records[mask ^ 1 << c] for c in C] if h else []
-            cols += zip(*([first + f_idx[v] for v in least] for first, f_idx in facets))
+            if h in span:
+                facets = [records[mask ^ 1 << c] for c in C]
+                cols += zip(*([first + f_idx[v] for v in least] for first, f_idx in facets))
             layer.append(len(least))
             offset += len(least)
         counts.append(tuple(layer))
         columns.append(tuple(cols))
-    return tuple(counts), tuple(columns)
+    return tuple(counts), tuple(columns), records
 
 
 def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -305,34 +315,86 @@ class HomologyProfile:
 def homology(g: ColoredGraph) -> HomologyProfile:
     """Integral homology H_0 .. H_d of the space the graph encodes.
 
-    The maps are reduced from d_d down to d_1, each transposed, and the
-    (h-1)-cells of the unit pivots of d_h's first sweep are left out of
-    d_(h-1)'s transpose.  Every map keeps its invariant factors.  Say that
-    sweep pivots columns a_1, a_2, ... in turn.  It only adds multiples of
-    one row to another, so a_k's pivot row is w_k = d_h z_k for an integer
-    chain z_k, +-1 on a_k and 0 on the earlier pivot columns, which their
-    pivots cleared.  So the w_k and the cells not pivoted form a
-    unimodular basis of C_(h-1), and d_(h-1) w_k = d_(h-1) d_h z_k = 0:
-    in that basis d_(h-1) is [0 | M], with M its columns on the cells not
-    pivoted, and M has the invariant factors of d_(h-1).  The gcd sweep
-    also operates on columns, so its pivot rows need not be of this form
-    and their cells stay.
+    Only the interior maps d_(d-1) .. d_2 are reduced, each transposed,
+    and the (h-1)-cells of the unit pivots of d_h's first sweep are left
+    out of d_(h-1)'s transpose.  Every map keeps its invariant factors.
+    Say that sweep pivots columns a_1, a_2, ... in turn.  It only adds
+    multiples of one row to another, so a_k's pivot row is w_k = d_h z_k
+    for an integer chain z_k, +-1 on a_k and 0 on the earlier pivot
+    columns, which their pivots cleared.  So the w_k and the cells not
+    pivoted form a unimodular basis of C_(h-1), and
+    d_(h-1) w_k = d_(h-1) d_h z_k = 0: in that basis d_(h-1) is [0 | M],
+    with M its columns on the cells not pivoted, and M has the invariant
+    factors of d_(h-1).  The gcd sweep also operates on columns, so its
+    pivot rows need not be of this form and their cells stay.
+
+    The outer two maps have closed forms (Grossman, Kulkarni &
+    Schochetman, "On the minors of an incidence matrix and its Smith
+    normal form", Linear Algebra Appl. 218, 1995).  The d-cells are the
+    n vertices and the (d-1)-cells the edges, so d_d sends a vertex u to
+    the sum over colors c of (-1)^c times u's edge of color c: up to row
+    signs, the vertex-edge incidence matrix of the gem.  Take a spanning
+    tree of the gem, its edges e_k = (x_k, parent(x_k)) in post-order, and
+    signs eps flipping along tree edges.  Then z_k = sum of eps_u u over
+    x_k's subtree gives w_k = d_d z_k, +-1 on e_k and 0 on every other
+    tree edge, the earlier ones included: e_k is the one tree edge with
+    exactly one end in the subtree.  These are the pivot rows above, so
+    the tree edges leave d_(d-1) with its invariant factors kept, and d_d
+    has n - 1 factors 1.  The last row, d_d of the sum of all eps_u u, is
+    0 on tree edges and 0 or +-2 on the others, and 0 exactly when eps
+    properly 2-colors the gem: one factor 2 more iff the gem is not
+    bipartite.  d_1 sends a 1-cell on labels
+    a < b to [b-cell] - [a-cell], a directed incidence matrix of the
+    complex's 1-skeleton, which is connected: totally unimodular of rank
+    f_0 - 1, so f_0 - 1 factors 1, whatever cells were left out.  For
+    d = 1 the two rules agree.
     """
-    k = build_complex(g)
-    f = k.f_vector
-    factors: list[list[int]] = [[] for _ in range(len(f) + 1)]
-    units: list[int] = []
-    for h in range(len(f) - 1, 0, -1):
+    d = g.dimension
+    counts, columns, records = _layers(g, range(2, d))
+    f = [sum(c) for c in counts]
+    factors: list[list[int]] = [[] for _ in range(d + 2)]
+    units, bipartite = _spanning_tree(g, records)
+    factors[d] = [1] * (f[d] - 1) + ([] if bipartite else [2])
+    factors[1] = [1] * (f[0] - 1)
+    for h in range(d - 1, 1, -1):
         # The columns of a boundary map are the rows of its transpose,
         # which has the same invariant factors.
         signs = [-1 if pos % 2 else 1 for pos in range(h + 1)]
         cut = set(units)
-        rows = [dict(zip(c, signs)) for j, c in enumerate(k.columns[h]) if j not in cut]
+        rows = [dict(zip(c, signs)) for j, c in enumerate(columns[h]) if j not in cut]
         factors[h], units = _sparse_snf(rows, f[h - 1])
     return HomologyProfile(tuple(
         (f[i] - len(factors[i]) - len(out), tuple(e for e in out if e > 1))
         for i, out in enumerate(factors[1:])
     ))
+
+
+def _spanning_tree(
+    g: ColoredGraph, records: dict[int, tuple[int, list[int]]]
+) -> tuple[list[int], bool]:
+    """The (d-1)-cells of a spanning tree of the gem, and its bipartiteness.
+
+    A depth-first search from vertex 0 takes each edge to a new vertex
+    into the tree and 2-colors the vertices along it.  The edge of color c
+    at v is the cell of label set "all colors but c" whose component is
+    v's in the residue on color c, read from that label set's record.
+    """
+    full = (1 << len(g.matchings)) - 1
+    cells = [records[full ^ 1 << c] for c in g.colors]
+    side = [-1] * g.vertex_count
+    side[0] = 0
+    stack, tree, bipartite = [0], [], True
+    while stack:
+        v = stack.pop()
+        for m, (first, idx) in zip(g.matchings, cells):
+            w = m[v]
+            if side[w] < 0:
+                side[w] = side[v] ^ 1
+                tree.append(first + idx[v])
+                stack.append(w)
+            elif side[w] == side[v]:
+                bipartite = False
+    return tree, bipartite
 
 
 def sphere_profile(m: int) -> HomologyProfile:

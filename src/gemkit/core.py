@@ -357,6 +357,21 @@ def canonical_labeling(
     connected graphs are isomorphic in the given mode exactly when their
     minimal encodings coincide.
     """
+    for enc, label, sigma, _ in _best_labelings(g, mode):
+        pass
+    return tuple(enc), label, sigma
+
+
+def _best_labelings(
+    g: ColoredGraph, mode: str
+) -> Iterator[tuple[list[int], list[int], tuple[int, ...], list[int]]]:
+    """``canonical_labeling``'s search, yielding the best after each slot order.
+
+    Each item is (encoding, vertex -> label, slot order, label -> vertex).
+    The color-permuting orders start with the identity, the one
+    color-fixed order, so the first item in either mode is the color-fixed
+    best, and the search goes on from it with the orbits found so far.
+    """
     sigmas = _slot_orders(len(g.matchings), mode)
     if not g.is_connected():
         raise NotConnectedError("canonical form is defined for connected graphs")
@@ -377,8 +392,8 @@ def canonical_labeling(
                 for x, y in zip(best[3], order):
                     rx, ry = _orbit_root(orbit, x), _orbit_root(orbit, y)
                     orbit[max(rx, ry)] = min(rx, ry)
-    assert best is not None
-    return tuple(best[0]), best[1], best[2]
+        assert best is not None
+        yield best
 
 
 def _orbit_root(parent: list[int], x: int) -> int:
@@ -394,7 +409,11 @@ def canonical_form(g: ColoredGraph, mode: str = "color-fixed") -> bytes:
 
     Exact (search-based, not hashed), so deduplication through it is sound.
     """
-    enc, _, _ = canonical_labeling(g, mode)
+    return _form_bytes(g, canonical_labeling(g, mode)[0])
+
+
+def _form_bytes(g: ColoredGraph, enc: Sequence[int]) -> bytes:
+    """``canonical_form``'s bytes of a minimal encoding of ``g``."""
     n = g.vertex_count
     body = [g.dimension, n] + list(enc)
     if max(g.dimension, n) < 256:  # labels are below n, so every entry fits a byte

@@ -60,7 +60,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     ColoredGraph,
+    _best_labelings,
     _bfs_labeling,
+    _form_bytes,
     bicolored_cycle_lengths,
     canonical_form,
     is_bipartite,
@@ -812,14 +814,19 @@ def _dedup_canonical(
 
     Such a hit is the first of one of its color-fixed classes, so only those
     firsts, collected in ``fixed``, need the dearer color-permuting form.
+    Its labeling search goes on from the color-fixed one, its first step.
     """
     fixed = {} if fixed is None else fixed
     by_form: dict[bytes, ColoredGraph] = {}
     for g in hits:
-        key = canonical_form(g, "color-fixed")
+        states = _best_labelings(g, "color-permuting")
+        best = next(states)
+        key = _form_bytes(g, best[0])
         if key not in fixed:
             fixed[key] = g
-            by_form.setdefault(canonical_form(g, "color-permuting"), g)
+            for best in states:
+                pass
+            by_form.setdefault(_form_bytes(g, best[0]), g)
     return [by_form[k] for k in sorted(by_form)]
 
 

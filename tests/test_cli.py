@@ -410,12 +410,18 @@ def test_search_text_output_lists_the_hits(capsys, monkeypatch, tmp_path):
 
 def test_search_text_output_computes_no_extra_canonical_form(capsys, monkeypatch, tmp_path):
     # Text mode prints no canonical form, so it computes none beyond the
-    # ones search_report's dedup needs.
+    # ones search_report's dedup needs.  The dedup runs the labeling search
+    # itself, so both entries to it are counted.
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"colors": 3, "order": 12, "vertex_types": [4, 6, 12]}))
     calls = []
-    real = search.canonical_form
-    monkeypatch.setattr(search, "canonical_form", lambda g, mode: calls.append(mode) or real(g, mode))
+    for name in ("canonical_form", "_best_labelings"):
+
+        def counted(g, mode, real=getattr(search, name)):
+            calls.append(mode)
+            return real(g, mode)
+
+        monkeypatch.setattr(search, name, counted)
     search.search_report(search.SearchSpec.from_json_dict(json.loads(path.read_text())))
     dedup = len(calls)
     assert dedup > 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import gemkit.complexes
 from gemkit.core import (
     ColoredGraph,
     NotConnectedError,
@@ -49,6 +50,7 @@ from helpers import (
     per_map_homology,
     random_bipartite_gem,
     random_gem,
+    random_matching,
     random_permutation,
     random_surface_gem,
 )
@@ -129,8 +131,9 @@ def test_boundary_squares_to_zero():
 
 def test_complex_requires_connected():
     disconnected = ColoredGraph([[1, 0, 3, 2]] * 3)
-    with pytest.raises(NotConnectedError):
-        build_complex(disconnected)
+    for compute in (build_complex, homology):
+        with pytest.raises(NotConnectedError, match="^the complex is built for connected graphs$"):
+            compute(disconnected)
 
 
 @pytest.mark.parametrize("check", [manifold_check, orientable, regular_genus])
@@ -578,6 +581,93 @@ def test_homology_matches_per_map_snf_on_random_gems(d):
 )
 def test_homology_matches_per_map_snf_on_families(g):
     assert homology(g) == per_map_homology(g)
+
+
+def bigon_rich_gem(rng: random.Random, d: int, n: int) -> ColoredGraph:
+    """Random connected gem whose colors mostly repeat an earlier color's
+    edges, with one edge pair switched, so bigons abound."""
+    while True:
+        mats = [random_matching(rng, n)]
+        for _ in range(d):
+            m = list(rng.choice(mats))
+            if n > 2 and rng.random() < 0.8:
+                a = rng.randrange(n)
+                b = rng.choice([v for v in range(n) if v not in (a, m[a])])
+                x, y = m[a], m[b]
+                m[a], m[b], m[x], m[y] = b, a, y, x
+            else:
+                m = random_matching(rng, n)
+            mats.append(m)
+        g = ColoredGraph(mats)
+        if g.is_connected():
+            return g
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_homology_matches_per_map_snf_on_nonbipartite_and_bigon_rich_gems(d):
+    # The closed forms of d_d and d_1 meet what they depend on: the factor
+    # 2 of a non-bipartite gem, and the parallel edges of bigons, which
+    # give the tree and the 1-skeleton parallel cells.
+    gem_rng = random.Random(3500 + d)
+    nonbipartite = 0
+    for i in range(40):
+        g = bigon_rich_gem(gem_rng, d, 2 * gem_rng.randint(1, 8))
+        nonbipartite += not is_bipartite(g)
+        assert homology(g) == per_map_homology(g), g.matchings
+        if d > 1:
+            while is_bipartite(g := random_gem(gem_rng, d, 2 * gem_rng.randint(2, 8))):
+                pass
+            assert homology(g) == per_map_homology(g), g.matchings
+    assert nonbipartite or d == 1  # a 2-colored gem is one even cycle
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_homology_reduces_only_the_interior_maps(monkeypatch, d):
+    # d_d and d_1 have closed forms, so one Smith normal form runs per map
+    # d_(d-1) .. d_2, each on the rows of its transpose (width f_(h-1)).
+    # The n - 1 edges of a spanning tree are left out of d_(d-1)'s rows.
+    shapes = []
+    real = gemkit.complexes._sparse_snf
+
+    def counted(rows, width):
+        shapes.append((len(rows), width))
+        return real(rows, width)
+
+    monkeypatch.setattr(gemkit.complexes, "_sparse_snf", counted)
+    g = random_gem(random.Random(3600 + d), d, 12)
+    homology(g)
+    f = build_complex(g).f_vector
+    assert len(shapes) == max(0, d - 2)
+    assert [width for _, width in shapes] == [f[h - 1] for h in range(d - 1, 1, -1)]
+    if shapes:
+        assert shapes[0][0] == f[d - 1] - (f[d] - 1)
+
+
+def test_outer_maps_closed_forms_against_sympy():
+    # d_d up to row signs is the unsigned vertex-edge incidence matrix of
+    # the gem: factors 1^(n-1), and 2 iff the gem is not bipartite.  d_1 is
+    # the directed incidence matrix of the connected 1-skeleton: 1^(f_0-1).
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    def sympy_factors(rows):
+        return [abs(int(x)) for x in invariant_factors(Matrix(rows), domain=ZZ) if x]
+
+    gem_rng = random.Random(3700)
+    seen = set()
+    for i in range(30):
+        d = gem_rng.randint(1, 4)
+        make = (random_gem, random_bipartite_gem, bigon_rich_gem)[i % 3]
+        g = make(gem_rng, d, 2 * gem_rng.randint(1, 6))
+        n = g.vertex_count
+        incidence = [[int(v in (u, w)) for u, w, _ in g.edges()] for v in range(n)]
+        bipartite = is_bipartite(g)
+        seen.add(bipartite)
+        assert sympy_factors(incidence) == [1] * (n - 1) + ([] if bipartite else [2])
+        k = build_complex(g)
+        assert sympy_factors([list(r) for r in k.boundaries[1]]) == [1] * (k.f_vector[0] - 1)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("label", list(SPHERE_TEST_GEMS))

@@ -7,6 +7,7 @@ from gemkit.core import (
     ColoredGraph,
     Isomorphism,
     NotConnectedError,
+    _best_labelings,
     canonical_form,
     canonical_labeling,
     is_bipartite,
@@ -244,6 +245,23 @@ def test_canonical_labeling_matches_unpruned_reference(mode):
             gems += [g, g.relabel(random_permutation(local, n))]
     for g in gems:
         assert canonical_labeling(g, mode) == oracle_canonical_labeling(g, mode)
+
+
+def test_color_permuting_search_passes_through_the_color_fixed_labeling():
+    # Dedup reads both forms off one search: its state after the first slot
+    # order (the identity) is the color-fixed labeling, its last state the
+    # color-permuting one.
+    local = random.Random(3511)
+    gems = [lens_gem(3, 1, 2), rp2_sum_gem(3), catalog("torus-4.8.8"), sphere_times_circle_gem(3)]
+    gems += [random_surface_gem(local, 2 * local.randint(2, 8)) for _ in range(6)]
+    for g in gems:
+        states = [
+            (tuple(enc), label, sigma)
+            for enc, label, sigma, _ in _best_labelings(g, "color-permuting")
+        ]
+        assert len(states) == len(list(itertools.permutations(g.colors)))
+        assert states[0] == oracle_canonical_labeling(g, "color-fixed")
+        assert states[-1] == oracle_canonical_labeling(g, "color-permuting")
 
 
 def test_canonical_form_requires_connected():
