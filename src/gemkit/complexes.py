@@ -9,12 +9,12 @@ residue partitions on all color sets come from one table per graph, each
 merged from a smaller one with one union-find pass instead of walked.
 
 The complex keeps each label set's cell count and each boundary map as
-sparse columns, at most h+1 entries +-1 per h-cell; the cell tuples and
-dense matrices are views built on request.  Homology reads the outer two
-maps' Smith normal forms off the gem: d_d is its vertex-edge incidence
-matrix up to signs, with factors 1 and one 2 iff it is not bipartite, and
-d_1 the incidence matrix of the connected 1-skeleton, all factors 1.  So
-only the maps d_(d-1) .. d_2 get columns and are reduced, by Smith normal
+sparse columns, at most h+1 entries +-1 per h-cell; the dense matrices
+are a view built on request.  Homology reads the outer two maps' Smith
+normal forms off the gem: d_d is its vertex-edge incidence matrix up to
+signs, with factors 1 and one 2 iff it is not bipartite, and d_1 the
+incidence matrix of the connected 1-skeleton, all factors 1.  So only
+the maps d_(d-1) .. d_2 get columns and are reduced, by Smith normal
 form over exact integers, which at these sizes needs no modular tricks:
 from the top down, the columns go in as the rows of the transposed map,
 every unit pivot is eliminated on those sparse rows, the few rows left are
@@ -49,8 +49,7 @@ class PseudoComplex:
     of h-cell j: entry ``pos`` is the (h-1)-cell of the facet that drops
     the label at index ``pos`` of its label set, with coefficient
     (-1)^pos; facets drop different labels, so the h+1 cells are distinct.
-    Views built on first read: ``cells[h]``, the h-cells as (label set,
-    component id) pairs, and ``boundaries[h]``, the map as a dense matrix
+    ``boundaries[h]``, built on first read, is the map as a dense matrix
     with rows indexed by the (h-1)-cells.  ``columns[0]`` and
     ``boundaries[0]`` are empty.
     """
@@ -64,12 +63,6 @@ class PseudoComplex:
         return tuple(map(sum, self.counts))
 
     @cached_property
-    def cells(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
-        labels = range(self.dimension + 1)
-        layers = (zip(itertools.combinations(labels, h + 1), c) for h, c in enumerate(self.counts))
-        return tuple(tuple((C, j) for C, n in layer for j in range(n)) for layer in layers)
-
-    @cached_property
     def boundaries(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         mats = []
         for h, cols in enumerate(self.columns):
@@ -80,18 +73,6 @@ class PseudoComplex:
             mats.append(tuple(tuple(r) for r in mat))
         return tuple(mats)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "cells": [
-                [{"labels": list(lbls), "component": comp} for lbls, comp in layer]
-                for layer in self.cells
-            ],
-            "boundaries": [
-                [list(row) for row in mat] for mat in self.boundaries
-            ],
-        }
-
 
 def build_complex(g: ColoredGraph) -> PseudoComplex:
     """Glue one d-simplex per vertex along the colored edges."""
@@ -100,7 +81,7 @@ def build_complex(g: ColoredGraph) -> PseudoComplex:
 
 
 def _partition_table(g: ColoredGraph) -> list[tuple[list[int], list[int]]]:
-    """The residue partition on every color set, indexed by its bitmask.
+    """The residue partition on every color set but the full one, by bitmask.
 
     Entry ``mask`` holds the component id of every vertex, the ids of
     ``component_index(g, colors of mask)``, and the least vertex of every
@@ -113,7 +94,7 @@ def _partition_table(g: ColoredGraph) -> list[tuple[list[int], list[int]]]:
     n = g.vertex_count
     edges = [[(v, w) for v, w in enumerate(m) if v < w] for m in g.matchings]
     table = [(list(range(n)), list(range(n)))]
-    for mask in range(1, 1 << len(g.matchings)):
+    for mask in range(1, (1 << len(g.matchings)) - 1):
         c = mask.bit_length() - 1
         idx, least = table[mask ^ (1 << c)]
         parent = list(range(len(least)))

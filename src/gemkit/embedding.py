@@ -73,7 +73,10 @@ class CyclicPermutation:
 
 
 def all_cyclic_permutations(d: int) -> list[CyclicPermutation]:
-    """All canonical cyclic arrangements of 0..d, sorted; d!/2 for d >= 2."""
+    """All canonical cyclic arrangements of 0..d, sorted; d!/2 for d >= 2.
+
+    Public as the paper's regular embeddings of a gem, one per arrangement.
+    """
     if d < 1:
         raise ValueError("dimension must be at least 1")
     return [eps for eps, _ in _arrangements(d)]

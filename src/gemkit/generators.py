@@ -224,7 +224,8 @@ def lens_nonbipartite_attempt(
 
     Joining position 1 of the first cycle to the even position ``r_even``
     of the last one forces an odd closing shift, which kills bipartiteness
-    and, by the predicted residue counts, the manifold property.
+    and, by the predicted residue counts, the manifold property.  Public as
+    the counting obstruction to a non-bipartite lens gem of this ladder.
     """
     if p < 1:
         raise ValueError("p must be at least 1")

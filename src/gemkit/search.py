@@ -839,16 +839,13 @@ def _check_budget(order: int, budget: int) -> None:
 
 
 def find_gems(spec: SearchSpec, max_order: int = DEFAULT_ORDER_BUDGET) -> list[ColoredGraph]:
-    """Exhaustively enumerate matching graphs, deduplicated canonically.
+    """The gems of an exhaustive ``search_report``, deduplicated canonically.
 
-    The returned list is sorted by canonical form and contains one graph
-    per isomorphism class under color permutation.  An empty list means no
-    such gem exists at this order.  Raises when the order exceeds the
-    budget instead of silently truncating.
+    Sorted by canonical form, one graph per isomorphism class under color
+    permutation; empty when no such gem exists at this order.  Raises when
+    the order exceeds the budget instead of silently truncating.
     """
-    _check_budget(spec.order, max_order)
-    hits, _ = _run_search(spec)
-    return _dedup_canonical(hits)
+    return list(search_report(spec, max_order).gems)
 
 
 def first_gem(

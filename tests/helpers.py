@@ -112,6 +112,25 @@ def complex_chi(k) -> int:
     return sum((-1) ** h * f for h, f in enumerate(k.f_vector))
 
 
+def complex_json_dict(k) -> dict:
+    """A cell complex as JSON: its cells as (label set, component id)
+    pairs, label sets in ``combinations`` order, and its dense boundary
+    matrices.  The reference rendering of the pinned complex digests."""
+    labels = range(k.dimension + 1)
+    return {
+        "dimension": k.dimension,
+        "cells": [
+            [
+                {"labels": list(C), "component": j}
+                for C, count in zip(itertools.combinations(labels, h + 1), layer)
+                for j in range(count)
+            ]
+            for h, layer in enumerate(k.counts)
+        ],
+        "boundaries": [[list(row) for row in mat] for mat in k.boundaries],
+    }
+
+
 def oracle_is_bipartite(g: ColoredGraph) -> bool:
     """Breadth-first 2-colouring over every color's edges."""
     side = [-1] * g.vertex_count

@@ -359,6 +359,8 @@ def test_bad_gem_file(capsys, monkeypatch, tmp_path):
     [
         ({"dimension": 1, "vertices": 2, "matchings": [[1, 0], [1.0, 0]]}, "integers"),
         ({"dimension": True, "vertices": 2, "matchings": [[1, 0], [1, 0]]}, "integers"),
+        ({"dimension": 1, "vertices": 2, "matchings": [[1, 0], [1, 0, 3, 2]]}, "each matching must list 2 vertices"),
+        ({"dimension": 1, "vertices": 2, "matchings": [[1, 0], {"0": 1}]}, "each matching must list 2 vertices"),
     ],
 )
 def test_analyze_rejects_non_integer_gem_fields(capsys, monkeypatch, gem, needle):

@@ -44,6 +44,7 @@ from gemkit.generators import (
 
 from helpers import (
     complex_chi,
+    complex_json_dict,
     doubled,
     matrix_product,
     oracle_manifold_check,
@@ -106,12 +107,10 @@ def test_f_vector_matches_residue_census():
                 else:
                     expected += g.vertex_count
             assert k.f_vector[h] == expected
-            # The cells view: each label set's components, label sets in
-            # ``combinations`` order.
-            assert k.cells[h] == tuple(
-                (C, j)
+            # Each label set's components, label sets in ``combinations`` order.
+            assert k.counts[h] == tuple(
+                residue_count(g, colors - set(C))
                 for C in itertools.combinations(range(d + 1), h + 1)
-                for j in range(residue_count(g, colors - set(C)))
             )
 
 
@@ -143,16 +142,9 @@ def test_gem_level_checks_reject_a_disconnected_graph(check):
         check(ColoredGraph([[1, 0, 3, 2]] * 4))
 
 
-def test_complex_json_export():
-    data = build_complex(standard_sphere(2)).to_json_dict()
-    assert data["dimension"] == 2
-    assert len(data["cells"]) == 3
-    assert data["cells"][0][0] == {"labels": [0], "component": 0}
-    assert len(data["boundaries"]) == 3
-
-
-# SHA-256 of the compact, key-sorted JSON of ``to_json_dict()``, pinned from
-# the dense construction that built every boundary matrix entry by entry.
+# SHA-256 of the compact, key-sorted JSON of ``helpers.complex_json_dict``,
+# pinned from the dense construction that built every boundary matrix entry
+# by entry.
 COMPLEX_JSON_SHA256 = {
     "standard_sphere(3)": (
         standard_sphere(3),
@@ -176,7 +168,7 @@ COMPLEX_JSON_SHA256 = {
 @pytest.mark.parametrize("label", list(COMPLEX_JSON_SHA256))
 def test_complex_json_golden(label):
     gem, digest = COMPLEX_JSON_SHA256[label]
-    data = build_complex(gem).to_json_dict()
+    data = complex_json_dict(build_complex(gem))
     raw = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(raw).hexdigest() == digest
 
@@ -190,7 +182,7 @@ def _relabeled(g: ColoredGraph) -> ColoredGraph:
 
 def assert_table_matches_component_index(g: ColoredGraph) -> None:
     table = _partition_table(g)
-    assert len(table) == 2 ** (g.dimension + 1)
+    assert len(table) == 2 ** (g.dimension + 1) - 1  # all but the full color set
     for mask, (idx, least) in enumerate(table):
         colors = [c for c in g.colors if mask >> c & 1]
         assert (idx, len(least)) == component_index(g, colors)
@@ -236,18 +228,12 @@ def test_dense_boundaries_are_a_cached_view():
 
 
 def test_homology_never_builds_dense_matrices(monkeypatch):
-    # Nor the (label set, component) cell tuples: only views read them.
-    def refused(what):
-        def read(self):
-            raise AssertionError(f"{what} built on the homology path")
+    def refused(self):
+        raise AssertionError("dense boundary matrices built on the homology path")
 
-        return property(read)
-
-    monkeypatch.setattr(PseudoComplex, "boundaries", refused("dense boundary matrices"))
-    monkeypatch.setattr(PseudoComplex, "cells", refused("cell tuples"))
-    for view in ("boundaries", "cells"):
-        with pytest.raises(AssertionError):
-            getattr(build_complex(standard_sphere(2)), view)
+    monkeypatch.setattr(PseudoComplex, "boundaries", property(refused))
+    with pytest.raises(AssertionError):
+        build_complex(standard_sphere(2)).boundaries
     bundle = ((1, ()), (1, ()), (0, ()), (0, ()), (1, ()), (1, ()))
     twisted = ((1, ()), (1, ()), (0, ()), (0, ()), (0, (2,)), (0, ()))
     assert homology(sphere_times_circle_gem(5)).groups == bundle

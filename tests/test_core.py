@@ -48,8 +48,12 @@ def test_constructor_rejects_bad_input():
         ColoredGraph([[1, 0, 2], [1, 0, 2]])  # odd order
     with pytest.raises(ValueError):
         ColoredGraph([[1, 2, 0, 3], [1, 0, 3, 2]])  # not an involution
-    with pytest.raises(ValueError):
-        ColoredGraph([[1, 0], [1, 5]])  # out of range
+    with pytest.raises(ValueError, match="^color 1: not an involution at vertex 0$"):
+        ColoredGraph([[1, 0], [1, 5]])  # vertex 0 fails before 5 is read
+    with pytest.raises(ValueError, match="^matching for color 1 has 4 entries, expected 2$"):
+        ColoredGraph([[1, 0], [1, 0, 3, 2]])
+    with pytest.raises(ValueError, match="^color 1: vertex 0 maps to 5$"):
+        ColoredGraph([[1, 0], [5, 0]])
 
 
 def test_basic_accessors():
@@ -80,6 +84,8 @@ def test_residues_on_lens_gems():
 def test_residue_color_out_of_range():
     with pytest.raises(ValueError):
         component_index(standard_sphere(2), {0, 5})
+    with pytest.raises(ValueError, match="^a residue graph needs at least two colors$"):
+        residue_graphs(standard_sphere(2), {1})
 
 
 @pytest.mark.parametrize("n", [6, 8, 10, 12])
@@ -184,6 +190,11 @@ def test_isomorphism_of_disconnected_graphs():
     # bijection, so it is not a witness.
     assert not Isomorphism((0, 1, 0, 1), (0, 1, 2)).valid_between(a, b)
     assert not Isomorphism((2, 3, 0, 1), (0, 0, 0)).valid_between(a, b)
+    # A bijection on both that breaks an edge, and graphs of another order
+    # or dimension, are no witnesses either.
+    assert not Isomorphism((0, 2, 1, 3), (0, 1, 2)).valid_between(a, b)
+    assert not Isomorphism((0, 1), (0, 1, 2)).valid_between(a, standard_sphere(2))
+    assert not Isomorphism(wit.vertex_map, (0, 1, 2)).valid_between(a, ColoredGraph([[1, 0, 3, 2]] * 4))
 
 
 def test_canonical_form_invariance():

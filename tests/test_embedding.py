@@ -91,6 +91,8 @@ def test_empty_arrangement_is_a_value_error():
         CyclicPermutation(())
     with pytest.raises(ValueError, match=r"^\(\) is not an arrangement"):
         CyclicPermutation.from_sequence(())
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        all_cyclic_permutations(0)
 
 
 def test_pairs_wrap_around():

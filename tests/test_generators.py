@@ -127,6 +127,10 @@ def test_nonbipartite_attempt_other_even_positions():
 def test_nonbipartite_attempt_rejects_odd_position():
     with pytest.raises(ValueError):
         lens_nonbipartite_attempt(2, 2, 1)
+    with pytest.raises(ValueError, match="^p must be at least 1$"):
+        lens_nonbipartite_attempt(0, 2, 0)
+    with pytest.raises(ValueError, match="^k must be even and at least 2$"):
+        lens_nonbipartite_attempt(2, 3, 0)
 
 
 # n = 700 is deeper than a recursive matching search can go.

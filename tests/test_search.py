@@ -642,6 +642,8 @@ def test_first_s2_4_6_10_hit_is_a_sphere_of_its_type():
         SearchSpec(colors=3, order=8, vertex_types=(4, 4, 10)),
         SearchSpec(colors=3, order=12, vertex_types=(4, 6, 20)),
         SearchSpec(colors=4, order=12, vertex_types=(4, 4, 6, 20)),
+        # Two faces of 10 at order 8: a vertex runs out of room mid-search.
+        SearchSpec(colors=3, order=8, vertex_types=(4, 10, 10)),
     ],
     ids=_spec_id,
 )
