@@ -113,10 +113,9 @@ def _cmd_analyze(args) -> int:
         d, bip = g.dimension, payload["bipartite"]
         plain, signed = _report_template(d, False, bip), _report_template(d, True, bip)
         block = ",\n    ".join(
-            signed % (*r.epsilon.order, *r.g_values, r.chi, r.rho_times_2, *r.signature.faces,
-                      r.signature)
-            if r.signature else plain % (*r.epsilon.order, *r.g_values, r.chi, r.rho_times_2)
-            for r in rep.reports
+            signed % (*eps.order, *gv, chi, 2 - chi, *sig.faces, sig)
+            if sig else plain % (*eps.order, *gv, chi, 2 - chi)
+            for eps, gv, chi, _, sig in rep.reports
         )
         print(head + '\n  "reports": [\n    ' + block + "\n  ]" + tail)
         return 0
@@ -126,11 +125,10 @@ def _cmd_analyze(args) -> int:
         f"contracted {'yes' if is_contracted(g) else 'no'}"
     ]
     plain, signed = _line_template(g.dimension, False), _line_template(g.dimension, True)
-    for r in rep.reports:
-        faces = r.signature.faces if r.signature else ()
-        lines.append((signed if faces else plain) % (
-            *r.epsilon.order, *faces, r.chi, _format_rho(r.rho_times_2), *r.g_values
-        ))
+    rho = {chi: _format_rho(2 - chi) for chi in {r.chi for r in rep.reports}}
+    for eps, gv, chi, _, sig in rep.reports:
+        faces = sig.faces if sig else ()
+        lines.append((signed if faces else plain) % (*eps.order, *faces, chi, rho[chi], *gv))
     if rep.witness_rho_times_2 is None:
         lines.append("semi-equivelar: no qualifying embedding")
     else:

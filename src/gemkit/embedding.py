@@ -83,30 +83,35 @@ def all_cyclic_permutations(d: int) -> list[CyclicPermutation]:
 
 
 @functools.lru_cache(maxsize=None)
-def _arrangements(d: int) -> tuple[tuple[CyclicPermutation, tuple[tuple[int, int], ...]], ...]:
-    """``all_cyclic_permutations(d)`` with their ``pairs()``, built once per d.
+def _arrangements(d: int) -> tuple[tuple[CyclicPermutation, operator.itemgetter], ...]:
+    """``all_cyclic_permutations(d)``, each with a getter of its pairs, built once per d.
 
-    The pair tuples are shared, one per ordered color pair, so each
-    arrangement adds only a tuple of d + 1 references to the cache.
+    The getter reads the entries of the arrangement's d + 1 consecutive
+    pairs, each sorted, from a list laid out in ``combinations(range(d + 1),
+    2)`` order; it picks at least two (d >= 1), so it always returns a tuple.
     """
     # permutations() yields them sorted; the ends differ unless d = 1,
     # whose one arrangement (0, 1) the ``<=`` keeps.
     rests = itertools.permutations(range(1, d + 1))
     out = [CyclicPermutation((0,) + r) for r in rests if r[0] <= r[-1]]
-    shared = {p: p for p in itertools.permutations(range(d + 1), 2)}
-    return tuple((eps, tuple(map(shared.get, eps.pairs()))) for eps in out)
+    pos = {}
+    for i, (a, b) in enumerate(itertools.combinations(range(d + 1), 2)):
+        pos[a, b] = pos[b, a] = i
+    # Each arrangement starts at color 0, so (0,) closes its cycle.
+    return tuple(
+        (eps, operator.itemgetter(*map(pos.__getitem__, zip(eps.order, eps.order[1:] + (0,)))))
+        for eps in out
+    )
 
 
 def _canonical_cyclic(t: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least representative under rotation and reflection."""
+    """Lexicographically least rotation of ``t`` or of its reverse; it starts
+    at the least entry, so only the rotations that start there are built."""
     if not t:
         return t
-    k = len(t)
-    rev = tuple(reversed(t))
-    return min(
-        min(t[i:] + t[:i] for i in range(k)),
-        min(rev[i:] + rev[:i] for i in range(k)),
-    )
+    m = min(t)
+    k = range(len(t))
+    return min(w[i:] + w[:i] for w in (t, t[::-1]) for i in k if w[i] == m)
 
 
 @dataclass(frozen=True)
@@ -408,16 +413,19 @@ def semi_equivelar_report(
     table = _pair_table(g)
     gvals = _g_values(table)
     w1, w2 = _witness_differences(table)
+    pairs = list(itertools.combinations(g.colors, 2))  # the getters' layout
+    lengths, gv_row = [table[p] for p in pairs], [gvals[p] for p in pairs]
+    if w1:
+        w1, w2 = [w1[p] for p in pairs], [w2[p] for p in pairs]
     reports = []
-    for eps, pairs in _arrangements(g.dimension):
-        gv = tuple(map(gvals.__getitem__, pairs))
-        chi = sum(gv) + base
-        if w1 and (sum(map(w1.__getitem__, pairs)) or sum(map(w2.__getitem__, pairs))):
+    for eps, get in _arrangements(g.dimension):
+        gv = get(gv_row)
+        if w1 and (sum(get(w1)) or sum(get(w2))):
             sig = None  # a witness and vertex 0 see different face multisets
         else:
-            sig = _signature(map(table.__getitem__, pairs), bigons)
-        reports.append(EmbeddingReport(eps, gv, chi, orientable, sig))
-    reports.sort(key=operator.attrgetter("chi"), reverse=True)  # stable; _arrangements is in order
+            sig = _signature(get(lengths), bigons)
+        reports.append(EmbeddingReport._make((eps, gv, sum(gv) + base, orientable, sig)))
+    reports.sort(key=operator.itemgetter(2), reverse=True)  # chi; stable, _arrangements is in order
     qualifying = [r for r in reports if r.signature is not None]
     best = qualifying[0].rho_times_2 if qualifying else None
     winners = tuple(r.epsilon for r in qualifying if r.rho_times_2 == best)

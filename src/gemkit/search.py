@@ -132,6 +132,16 @@ def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
     considered here.  For chi > 0 the (4^2, q) family is reported once,
     symbolically, instead of one row per q.  Orders below 4 are discarded
     since a graph without bigon faces has more than two vertices.
+
+    The identity is p r = chi with r = 1 - dp/2 + sum 1/q; times 2L, for L
+    the lcm of the face lengths, it reads p r2 = 2L chi with r2 = (2 - dp) L
+    + sum w(q) and w(q) = 2L/q, all integers.  An order p >= 4 needs r2 = 0
+    when chi = 0 (where p is free), and otherwise r2 of chi's sign with
+    4 |r2| <= 2L |chi|: so r2 lies between 0 and L chi / 2 in every case.
+    Each multiset grows one nondecreasing length at a time; w falls as q
+    grows, so the j faces still to place after a last length q weigh
+    between j w(q_max) and j w(q), and a prefix whose every completion
+    leaves r2 outside that range is dropped.
     """
     if chi > 2:
         raise ValueError("no surface has Euler characteristic above 2")
@@ -144,35 +154,43 @@ def enumerate_embedding_types(chi: int, q_max: int = 16) -> list[TypeSolution]:
     else:
         degrees = range(3, 4 - chi + 1)
 
-    # The counting identity is p r = chi with r = 1 - dp/2 + sum 1/q; times
-    # 2L, for L the lcm of the face lengths, it holds in integers.
     lengths = range(4, q_max + 1, 2)
     lcm = math.lcm(*lengths)
-    weight = {q: 2 * lcm // q for q in lengths}
+    weight = [2 * lcm // q for q in lengths]
+    lo, hi = sorted((0, lcm * chi // 2))
     out: list[TypeSolution] = []
     for dp in degrees:
-        for combo in itertools.combinations_with_replacement(lengths, dp):
+        # Entries: the multiset so far, its r2 without the faces still to
+        # place, and the index of its last length.
+        stack = [((), (2 - dp) * lcm, 0)]
+        while stack:
+            combo, r2, last = stack.pop()
+            j = dp - len(combo) - 1  # faces left after the next one
+            if j >= 0:
+                for i in range(last, len(lengths)):
+                    ri = r2 + weight[i]
+                    if ri + j * weight[-1] <= hi and ri + j * weight[i] >= lo:
+                        stack.append((combo + (lengths[i],), ri, i))
+                continue
             # For chi > 0 every combo has three faces; (4, 4, q) with q > 4
             # is folded into the symbolic family.
             if chi > 0 and combo[:2] == (4, 4) and combo[2] > 4:
                 continue
-            r2 = (2 - dp) * lcm + sum(map(weight.__getitem__, combo))
             if r2 == 0:
                 if chi != 0:
                     continue
                 order: object = None
             else:
-                p, rem = divmod(2 * lcm * chi, r2)
-                if rem or p < 4:
+                order, rem = divmod(2 * lcm * chi, r2)  # at least 4, by the bound
+                if rem:
                     continue
-                order = p
             # A cyclic word determines its multiset, so no two combos share one.
             for arrangement in _cyclic_arrangements(combo):
                 out.append(TypeSolution(_runs(arrangement), order, chi))
     if chi > 0:
         order = "q" if chi == 1 else f"{chi}q"
         out.append(TypeSolution((( 4, 2), ("q", 1)), order, chi))
-    out.sort(key=_solution_sort_key)
+    out.sort(key=_solution_sort_key)  # keys are distinct: the scan order never shows
     return out
 
 

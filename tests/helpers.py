@@ -404,6 +404,16 @@ def random_bipartite_gem(rng: random.Random, d: int, n: int) -> ColoredGraph:
             return g
 
 
+def reference_canonical_cyclic(t: tuple) -> tuple:
+    """Least of all rotations of a word and of its reverse: the reference
+    for ``embedding._canonical_cyclic``, which builds only those starting
+    at the least entry."""
+    if not t:
+        return t
+    rev = tuple(reversed(t))
+    return min(min(w[i:] + w[:i] for i in range(len(t))) for w in (t, rev))
+
+
 def oracle_semi_equivelar_type(g: ColoredGraph, eps, bigons: str = "exclude"):
     """Per-arrangement reference: canonicalize the face tuple of every vertex.
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from helpers import (
     random_gem,
     random_permutation,
     random_surface_gem,
+    reference_canonical_cyclic,
 )
 
 rng = random.Random(99)
@@ -55,15 +57,13 @@ def test_cyclic_permutation_counts(d, count):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_cached_arrangements_carry_their_pairs(d):
-    # The cache hands each arrangement out with its consecutive pairs; they
-    # equal pairs(), which still builds them from the order alone.
+    # The cache hands each arrangement out with a getter that picks its
+    # consecutive pairs, each sorted, from a list in combinations() order.
     cached = embedding._arrangements(d)
     assert [eps for eps, _ in cached] == all_cyclic_permutations(d)
-    for eps, pairs in cached:
-        k = len(eps.order)
-        assert pairs == eps.pairs() == tuple(
-            (eps.order[i], eps.order[(i + 1) % k]) for i in range(k)
-        )
+    layout = list(itertools.combinations(range(d + 1), 2))
+    for eps, get in cached:
+        assert get(layout) == tuple(tuple(sorted(p)) for p in eps.pairs())
 
 
 def test_cyclic_permutations_d3_explicit():
@@ -216,6 +216,16 @@ def test_signature_canonicalization():
     assert TypeSignature.from_tuple((4, 4, 4, 4)).condensed == ((4, 4),)
     assert TypeSignature.from_tuple((6, 6, 2, 6)).condensed == ((2, 1), (6, 3))
     assert str(TypeSignature.from_tuple((4, 6, 6))) == "(4^1,6^2)"
+
+
+def test_canonical_cyclic_matches_all_rotations():
+    # Words over few letters repeat their least entry, so several rotations
+    # start there; the full-rotation minimum is the reference.
+    r = random.Random(37)
+    for _ in range(400):
+        letters = (2, 4, 6, 8)[: r.randint(1, 4)]
+        word = tuple(r.choice(letters) for _ in range(r.randint(0, 10)))
+        assert embedding._canonical_cyclic(word) == reference_canonical_cyclic(word)
 
 
 def test_signature_distinguishes_arrangements():

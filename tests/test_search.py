@@ -93,31 +93,35 @@ def test_types_negative_chi_contains_expected_members():
 def test_types_against_brute_force():
     # Independent re-derivation: loop over every multiset of even face
     # lengths and keep those whose identity gives a positive integer order.
-    qmax = 12
-    for chi in (2, 1, 0, -1, -2):
+    # chi = 0 (r must be 0), chi > 0 (the (4, 4, q) fold) and q_max = 4 (a
+    # single length) are the enumeration's pruning bound at its edges.
+    r_of = {}  # multiset of lengths 4..16 of degree 3..10 -> r
+    for dp in range(3, 11):
+        for combo in itertools.combinations_with_replacement(range(4, 17, 2), dp):
+            r_of[combo] = 1 - Fraction(dp, 2) + sum(Fraction(1, q) for q in combo)
+    for chi in range(2, -7, -1):
         degrees = range(3, max(4, 4 - chi) + 1)
-        brute = set()
-        for dp in degrees:
-            for combo in itertools.combinations_with_replacement(
-                range(4, qmax + 1, 2), dp
-            ):
-                r = 1 - Fraction(dp, 2) + sum(Fraction(1, q) for q in combo)
+        for qmax in (4, 6, 8, 12, 16):
+            brute = set()
+            for combo, r in r_of.items():
+                if len(combo) not in degrees or combo[-1] > qmax:
+                    continue
                 if r == 0:
                     if chi == 0:
                         brute.add((combo, None))
                 elif (Fraction(chi) / r).denominator == 1 and Fraction(chi) / r >= 4:
                     brute.add((combo, int(Fraction(chi) / r)))
-        produced = set()
-        for s in enumerate_embedding_types(chi, qmax):
-            if s.parametric:
-                for q in range(6, qmax + 1, 2):
-                    produced.add(((4, 4, q), chi * q))
-            else:
-                faces = []
-                for qv, k in s.runs:
-                    faces.extend([qv] * k)
-                produced.add((tuple(sorted(faces)), s.order))
-        assert produced == brute
+            produced = set()
+            for s in enumerate_embedding_types(chi, qmax):
+                if s.parametric:
+                    for q in range(6, qmax + 1, 2):
+                        produced.add(((4, 4, q), chi * q))
+                else:
+                    faces = []
+                    for qv, k in s.runs:
+                        faces.extend([qv] * k)
+                    produced.add((tuple(sorted(faces)), s.order))
+            assert produced == brute, (chi, qmax)
 
 
 def test_cyclic_arrangements_match_brute_force():
